@@ -14,16 +14,26 @@ ascending index order.
 Rank coding is what makes the H-APQ payload meet the information-theoretic
 bit count instead of the naive ceil(log2(K)) bits per antenna.
 
+The codec packs the fields into one Python integer with shifts and masks,
+in the same MSB-first layout: the first field occupies the most significant
+bits.  ``EncodedRelayState.payload`` holds that integer's bits as a tuple
+of 0/1 values, most significant first.
+
 A small byte container wraps a payload for debug dumps: one spec tag byte,
-one antenna-count byte, the spec parameters, a 2-byte big-endian bit
-length, then the payload packed MSB-first with zero padding in the final
-byte.
+one antenna-count byte, the spec parameters (one byte each), a 2-byte
+big-endian bit length, then the payload packed MSB-first with zero padding
+in the final byte.  The container therefore holds at most 255 antennas,
+spec parameters of at most 255 and payloads of at most 65535 bits;
+:func:`pack_container` rejects anything larger with a ``ValueError`` that
+names the limit.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import index
 
 from .quantizers import (
     HAPQ,
@@ -31,7 +41,6 @@ from .quantizers import (
     UPQ,
     QuantizerSpec,
     RelayState,
-    assignment_rank_bits,
     oaq_codeword_count,
     quantizer_bits,
 )
@@ -39,88 +48,124 @@ from .quantizers import (
 _SPEC_TAGS = {UPQ: 1, UAPQ: 2, HAPQ: 3}
 _TAG_KINDS = {tag: kind for kind, tag in _SPEC_TAGS.items()}
 
+_MAX_BYTE = 255
+_MAX_PAYLOAD_BITS = 65535
+
+# payload bit values <-> ASCII binary digits, for int(..., 2) and format()
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 # ---------------------------------------------------------------------------
 # Lexicographic ranking of O-AQ assignments
 # ---------------------------------------------------------------------------
 
-def _level_multiplicities(n_antennas, group_size):
+@lru_cache(maxsize=1024, typed=True)
+def _assignment_layout(n_antennas, group_size):
+    """(sorted level multiset, assignment count, rank width) of an O-AQ grouping.
+
+    The multiset lists each level index once per antenna it is assigned to:
+    group_size times for the lower levels, the remainder for the top one.
+    """
+    total = oaq_codeword_count(n_antennas, group_size)
     num_levels = -(-n_antennas // group_size)
-    counts = [group_size] * (num_levels - 1)
-    counts.append(n_antennas - (num_levels - 1) * group_size)
-    return counts
+    levels = []
+    for level in range(1, num_levels):
+        levels.extend([level] * group_size)
+    levels.extend([num_levels] * (n_antennas - (num_levels - 1) * group_size))
+    return tuple(levels), total, (total - 1).bit_length()
 
 
-def _arrangements(counts):
-    """Distinct sequences over the remaining level multiset."""
-    total = math.factorial(sum(counts))
-    for c in counts:
-        total //= math.factorial(c)
-    return total
-
-
-def _check_assignment(assignment, n_antennas, group_size):
-    if len(assignment) != n_antennas:
-        raise ValueError(f"expected {n_antennas} level indices, got {len(assignment)}")
-    counts = _level_multiplicities(n_antennas, group_size)
-    seen = [0] * len(counts)
+def _check_assignment(assignment, pool):
+    if len(assignment) != len(pool):
+        raise ValueError(f"expected {len(pool)} level indices, got {len(assignment)}")
+    if tuple(sorted(assignment)) == pool:
+        return
+    num_levels = pool[-1]
+    seen = [0] * num_levels
     for level in assignment:
-        if not 1 <= level <= len(counts):
-            raise ValueError(f"level index {level} out of range 1..{len(counts)}")
+        if not 1 <= level <= num_levels:
+            raise ValueError(f"level index {level} out of range 1..{num_levels}")
         seen[level - 1] += 1
-    if seen != counts:
-        raise ValueError(f"level multiplicities {seen} violate the O-AQ grouping {counts}")
+    counts = [pool.count(level) for level in range(1, num_levels + 1)]
+    raise ValueError(f"level multiplicities {seen} violate the O-AQ grouping {counts}")
 
 
 def rank_assignment(assignment, n_antennas, group_size):
     """Zero-based lexicographic rank of a valid O-AQ level assignment.
 
     Walks the positions keeping the arrangement count of the remaining
-    multiset up to date incrementally: choosing a level with multiplicity c
-    out of t open positions leaves count * c / t arrangements, always an
-    exact integer.
+    multiset up to date incrementally: with t open positions and s remaining
+    entries below the chosen level, the assignments starting with a smaller
+    level number count * s / t, and choosing a level of multiplicity c
+    leaves count * c / t arrangements; both are exact integers.
     """
-    _check_assignment(assignment, n_antennas, group_size)
-    remaining = _level_multiplicities(n_antennas, group_size)
-    open_slots = n_antennas
-    count = _arrangements(remaining)
+    pool, count, _ = _assignment_layout(n_antennas, group_size)
+    _check_assignment(assignment, pool)
+    remaining = list(pool)
     rank = 0
-    for level in assignment:
-        for smaller in range(1, level):
-            rank += count * remaining[smaller - 1] // open_slots
-        count = count * remaining[level - 1] // open_slots
-        remaining[level - 1] -= 1
-        open_slots -= 1
+    for open_slots, level in zip(range(n_antennas, 1, -1), assignment):
+        if count == 1:  # one level left: every later position is forced
+            break
+        smaller = bisect_left(remaining, level)
+        if smaller:
+            rank += count * smaller // open_slots
+        count = count * (bisect_right(remaining, level) - smaller) // open_slots
+        del remaining[smaller]
     return rank
 
 
 def unrank_assignment(rank, n_antennas, group_size):
-    """Inverse of :func:`rank_assignment`."""
-    total = oaq_codeword_count(n_antennas, group_size)
+    """Inverse of :func:`rank_assignment`.
+
+    At each position the level is the entry of the sorted remaining multiset
+    at index floor(rank * t / count): the ranks starting with the j smallest
+    remaining entries are exactly those below count * j / t.
+    """
+    pool, total, _ = _assignment_layout(n_antennas, group_size)
     if not isinstance(rank, int) or not 0 <= rank < total:
         raise ValueError(f"rank must be in [0, {total}), got {rank!r}")
-    remaining = _level_multiplicities(n_antennas, group_size)
-    open_slots = n_antennas
+    remaining = list(pool)
     count = total
     assignment = []
-    for _ in range(n_antennas):
-        for level in range(1, len(remaining) + 1):
-            if remaining[level - 1] == 0:
-                continue
-            block = count * remaining[level - 1] // open_slots
-            if rank < block:
-                assignment.append(level)
-                count = block
-                remaining[level - 1] -= 1
-                break
-            rank -= block
-        open_slots -= 1
+    for open_slots in range(n_antennas, 0, -1):
+        if count == 1:
+            assignment.extend(remaining)
+            break
+        level = remaining[rank * open_slots // count]
+        smaller = bisect_left(remaining, level)
+        if smaller:
+            rank -= count * smaller // open_slots
+        count = count * (bisect_right(remaining, level) - smaller) // open_slots
+        del remaining[smaller]
+        assignment.append(level)
     return tuple(assignment)
 
 
 # ---------------------------------------------------------------------------
 # Payload encode/decode
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1024, typed=True)
+def _payload_bits(spec, n_antennas):
+    return quantizer_bits(spec, n_antennas)
+
+
+def _payload_bytes(payload):
+    # one byte per entry: bytes() of an integer or of a buffer such as an
+    # int64 array would not be; tuple() of a tuple is the tuple itself
+    return bytes(tuple(payload))
+
+
+def _payload_to_int(payload):
+    return int(_payload_bytes(payload).translate(_BITS_TO_DIGITS), 2)
+
+
+def _int_to_payload(value, n_bits):
+    if n_bits == 0:
+        return ()
+    return tuple(format(value, f"0{n_bits}b").encode().translate(_DIGITS_TO_BITS))
+
 
 @dataclass(frozen=True)
 class EncodedRelayState:
@@ -131,84 +176,89 @@ class EncodedRelayState:
     payload: tuple
 
     def __post_init__(self):
-        if any(bit not in (0, 1) for bit in self.payload):
+        try:
+            raw = _payload_bytes(self.payload)
+        except (TypeError, ValueError):
+            raw = None
+        # what survives deleting the 0 and 1 bytes is a non-bit entry
+        if raw is None or raw.translate(None, b"\x00\x01"):
             raise ValueError("payload must contain only 0/1 bits")
-        expected = quantizer_bits(self.spec, self.n_antennas)
-        if len(self.payload) != expected:
-            raise ValueError(
-                f"payload holds {len(self.payload)} bits, spec requires {expected}"
-            )
-
-
-def _push_bits(bits, value, width):
-    for shift in range(width - 1, -1, -1):
-        bits.append((value >> shift) & 1)
-
-
-def _take_bits(payload, cursor, width):
-    value = 0
-    for bit in payload[cursor : cursor + width]:
-        value = (value << 1) | bit
-    return value, cursor + width
+        expected = _payload_bits(self.spec, self.n_antennas)
+        if len(raw) != expected:
+            raise ValueError(f"payload holds {len(raw)} bits, spec requires {expected}")
 
 
 def encode_relay_state(state):
     """Serialize a relay state into its exact N_b-bit payload."""
     spec = state.spec
-    bits = []
+    n = state.n_antennas
+    value = 0
     if spec.kind == UPQ:
-        for k in state.phase_indices:
-            _push_bits(bits, k, spec.total_bits)
+        width = spec.total_bits
+        for k in map(index, state.phase_indices):
+            value = (value << width) | k
     elif spec.kind == UAPQ:
-        for k, b in zip(state.phase_indices, state.amplitude_bins):
-            _push_bits(bits, k, spec.phase_bits)
-            _push_bits(bits, b, spec.amplitude_bits)
+        width, amp_width = spec.total_bits, spec.amplitude_bits
+        for k, b in zip(map(index, state.phase_indices), map(index, state.amplitude_bins)):
+            value = (value << width) | (k << amp_width) | b
     else:
-        for k in state.phase_indices:
-            _push_bits(bits, k, spec.phase_bits)
-        rank = rank_assignment(
-            state.amplitude_assignment, state.n_antennas, spec.group_size
-        )
-        _push_bits(bits, rank, assignment_rank_bits(state.n_antennas, spec.group_size))
-    return EncodedRelayState(spec=spec, n_antennas=state.n_antennas, payload=tuple(bits))
+        width = spec.phase_bits
+        for k in map(index, state.phase_indices):
+            value = (value << width) | k
+        rank_width = _assignment_layout(n, spec.group_size)[2]
+        rank = rank_assignment(state.amplitude_assignment, n, spec.group_size)
+        value = (value << rank_width) | rank
+    payload = _int_to_payload(value, _payload_bits(spec, n))
+    return EncodedRelayState(spec=spec, n_antennas=n, payload=payload)
+
+
+def _fields(value, width, count):
+    """``count`` fields of ``width`` bits from the top of ``value``, in order."""
+    mask = (1 << width) - 1
+    return tuple([(value >> shift) & mask for shift in range((count - 1) * width, -1, -width)])
 
 
 def decode_relay_state(encoded):
     """Exact inverse of :func:`encode_relay_state`."""
     spec = encoded.spec
     n = encoded.n_antennas
-    payload = encoded.payload
-    cursor = 0
+    value = _payload_to_int(encoded.payload)
     if spec.kind == UPQ:
-        indices = []
-        for _ in range(n):
-            k, cursor = _take_bits(payload, cursor, spec.total_bits)
-            indices.append(k)
-        return RelayState(spec=spec, phase_indices=tuple(indices))
+        return RelayState(spec=spec, phase_indices=_fields(value, spec.total_bits, n))
     if spec.kind == UAPQ:
-        indices, bins = [], []
-        for _ in range(n):
-            k, cursor = _take_bits(payload, cursor, spec.phase_bits)
-            b, cursor = _take_bits(payload, cursor, spec.amplitude_bits)
-            indices.append(k)
-            bins.append(b)
+        amp_width = spec.amplitude_bits
+        pairs = _fields(value, spec.total_bits, n)
+        amp_mask = (1 << amp_width) - 1
         return RelayState(
-            spec=spec, phase_indices=tuple(indices), amplitude_bins=tuple(bins)
+            spec=spec,
+            phase_indices=tuple([pair >> amp_width for pair in pairs]),
+            amplitude_bins=tuple([pair & amp_mask for pair in pairs]),
         )
-    indices = []
-    for _ in range(n):
-        k, cursor = _take_bits(payload, cursor, spec.phase_bits)
-        indices.append(k)
-    rank, cursor = _take_bits(payload, cursor, assignment_rank_bits(n, spec.group_size))
+    rank_width = _assignment_layout(n, spec.group_size)[2]
+    rank = value & ((1 << rank_width) - 1)
     assignment = unrank_assignment(rank, n, spec.group_size)
     return RelayState(
-        spec=spec, phase_indices=tuple(indices), amplitude_assignment=assignment
+        spec=spec,
+        phase_indices=_fields(value >> rank_width, spec.phase_bits, n),
+        amplitude_assignment=assignment,
     )
 
 
 # ---------------------------------------------------------------------------
 # Byte container for debug dumps
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1024)
+def _header_spec(kind, params):
+    """The spec a container header names; specs are immutable, so shared."""
+    if kind == UPQ:
+        return QuantizerSpec(UPQ, total_bits=params[0])
+    if kind == UAPQ:
+        return QuantizerSpec(UAPQ, total_bits=params[0], phase_bits=params[1])
+    return QuantizerSpec(
+        HAPQ, phase_bits=params[0], group_size=params[1], level_exponent=params[2]
+    )
+
 
 def _spec_params(spec):
     if spec.kind == UPQ:
@@ -221,14 +271,24 @@ def _spec_params(spec):
 def pack_container(encoded):
     """Byte container: tag, N_R, parameters, bit length, packed payload."""
     spec = encoded.spec
-    head = bytearray([_SPEC_TAGS[spec.kind], encoded.n_antennas])
-    head.extend(_spec_params(spec))
-    head.extend(len(encoded.payload).to_bytes(2, "big"))
-    packed = bytearray((len(encoded.payload) + 7) // 8)
-    for i, bit in enumerate(encoded.payload):
-        if bit:
-            packed[i >> 3] |= 0x80 >> (i & 7)
-    return bytes(head) + bytes(packed)
+    params = _spec_params(spec)
+    n_bits = len(encoded.payload)
+    if encoded.n_antennas > _MAX_BYTE:
+        raise ValueError(
+            f"container holds at most {_MAX_BYTE} antennas, got N_R={encoded.n_antennas}"
+        )
+    if max(params) > _MAX_BYTE:
+        raise ValueError(
+            f"container holds spec parameters of at most {_MAX_BYTE}, got {spec.label()}"
+        )
+    if n_bits > _MAX_PAYLOAD_BITS:
+        raise ValueError(
+            f"container holds payloads of at most {_MAX_PAYLOAD_BITS} bits, got {n_bits}"
+        )
+    n_bytes = (n_bits + 7) // 8
+    body = _payload_to_int(encoded.payload) << (8 * n_bytes - n_bits)
+    head = bytes([_SPEC_TAGS[spec.kind], encoded.n_antennas, *params])
+    return head + n_bits.to_bytes(2, "big") + body.to_bytes(n_bytes, "big")
 
 
 def unpack_container(data):
@@ -243,23 +303,14 @@ def unpack_container(data):
     header_len = 2 + n_params + 2
     if len(data) < header_len:
         raise ValueError("container header truncated")
-    params = list(data[2 : 2 + n_params])
-    if kind == UPQ:
-        spec = QuantizerSpec(UPQ, total_bits=params[0])
-    elif kind == UAPQ:
-        spec = QuantizerSpec(UAPQ, total_bits=params[0], phase_bits=params[1])
-    else:
-        spec = QuantizerSpec(
-            HAPQ, phase_bits=params[0], group_size=params[1], level_exponent=params[2]
-        )
+    spec = _header_spec(kind, bytes(data[2 : 2 + n_params]))
     bit_len = int.from_bytes(data[2 + n_params : header_len], "big")
     body = data[header_len:]
     if len(body) != (bit_len + 7) // 8:
         raise ValueError("container payload length mismatch")
-    payload = []
-    for i in range(bit_len):
-        payload.append((body[i >> 3] >> (7 - (i & 7))) & 1)
-    for i in range(bit_len, len(body) * 8):
-        if (body[i >> 3] >> (7 - (i & 7))) & 1:
-            raise ValueError("nonzero padding bits in container")
-    return EncodedRelayState(spec=spec, n_antennas=n_antennas, payload=tuple(payload))
+    padding = 8 * len(body) - bit_len
+    value = int.from_bytes(body, "big")
+    if value & ((1 << padding) - 1):
+        raise ValueError("nonzero padding bits in container")
+    payload = _int_to_payload(value >> padding, bit_len)
+    return EncodedRelayState(spec=spec, n_antennas=n_antennas, payload=payload)

@@ -432,7 +432,7 @@ class RelayState:
             raise ValueError("relay state needs at least one antenna")
         spec.validate_for(n)
         pbits = spec.total_bits if spec.kind == UPQ else spec.phase_bits
-        if not all(0 <= k < (1 << pbits) for k in self.phase_indices):
+        if min(self.phase_indices) < 0 or max(self.phase_indices) >= 1 << pbits:
             raise ValueError("phase index out of range")
         if spec.kind == UPQ:
             if self.amplitude_assignment or self.amplitude_bins:
@@ -442,7 +442,8 @@ class RelayState:
                 raise ValueError("U-APQ state uses amplitude_bins, not an assignment")
             if len(self.amplitude_bins) != n:
                 raise ValueError("need one amplitude bin per antenna")
-            if not all(0 <= b < (1 << spec.amplitude_bits) for b in self.amplitude_bins):
+            bins = self.amplitude_bins
+            if min(bins) < 0 or max(bins) >= 1 << spec.amplitude_bits:
                 raise ValueError("amplitude bin out of range")
         else:  # HAPQ
             if self.amplitude_bins:

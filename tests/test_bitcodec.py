@@ -1,6 +1,8 @@
 """Rank coding and payload serialization against enumeration oracles."""
 
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -161,6 +163,18 @@ def test_truncated_payload_rejected():
         EncodedRelayState(spec=spec, n_antennas=4, payload=(0,) * 31 + (2,))
 
 
+def test_payload_entries_are_checked_one_by_one():
+    spec = QuantizerSpec(UPQ, total_bits=8)
+    bits = encode_relay_state(RelayState(spec=spec, phase_indices=(1, 2))).payload
+    with pytest.raises(ValueError):
+        EncodedRelayState(spec=spec, n_antennas=2, payload=16)  # an int, not 16 bits
+    with pytest.raises(ValueError):
+        # two int64 entries fill 16 bytes of memory but are 2 bits
+        EncodedRelayState(spec=spec, n_antennas=2, payload=np.array([0, 1]))
+    as_array = EncodedRelayState(spec=spec, n_antennas=2, payload=np.array(bits))
+    assert decode_relay_state(as_array) == RelayState(spec=spec, phase_indices=(1, 2))
+
+
 def test_hapq_of_full_group_has_no_rank_bits():
     spec = QuantizerSpec(HAPQ, phase_bits=3, group_size=4)
     state = RelayState(
@@ -210,3 +224,147 @@ def test_container_rejects_malformed():
     corrupted[-1] |= 0x01  # nonzero padding bit
     with pytest.raises(ValueError):
         unpack_container(bytes(corrupted))
+    with pytest.raises(ValueError):
+        unpack_container(blob[:1] + bytes([0]) + blob[2:])  # N_R of zero
+    upq8 = QuantizerSpec(UPQ, total_bits=8)
+    blob16 = pack_container(encode_relay_state(RelayState(spec=upq8, phase_indices=(1, 2))))
+    assert blob16[3:5] == (16).to_bytes(2, "big")
+    with pytest.raises(ValueError):
+        # 15 bits fit the 2-byte body and its padding bit is zero, but the
+        # spec needs 16
+        unpack_container(blob16[:3] + (15).to_bytes(2, "big") + blob16[5:])
+    uapq = QuantizerSpec(UAPQ, total_bits=8, phase_bits=4)
+    state = RelayState(spec=uapq, phase_indices=(3,), amplitude_bins=(5,))
+    blob_uapq = bytearray(pack_container(encode_relay_state(state)))
+    blob_uapq[3] = blob_uapq[2]  # qbar = q
+    with pytest.raises(ValueError):
+        unpack_container(bytes(blob_uapq))
+
+
+def test_container_rejects_what_its_header_cannot_hold():
+    upq2 = QuantizerSpec(UPQ, total_bits=2)
+    too_many_antennas = EncodedRelayState(spec=upq2, n_antennas=256, payload=(0,) * 512)
+    with pytest.raises(ValueError, match="at most 255 antennas, got N_R=256"):
+        pack_container(too_many_antennas)
+    wide = QuantizerSpec(UPQ, total_bits=300)
+    with pytest.raises(ValueError, match=r"spec parameters of at most 255, got U-PQ\(q=300\)"):
+        pack_container(EncodedRelayState(spec=wide, n_antennas=1, payload=(0,) * 300))
+    long_spec = QuantizerSpec(HAPQ, phase_bits=255, group_size=1)
+    n_bits = quantizer_bits(long_spec, 255)
+    assert n_bits > 65535
+    long_payload = EncodedRelayState(spec=long_spec, n_antennas=255, payload=(0,) * n_bits)
+    with pytest.raises(ValueError, match=f"payloads of at most 65535 bits, got {n_bits}"):
+        pack_container(long_payload)
+
+
+# ---------------------------------------------------------------------------
+# Byte layout against a per-bit reference packer
+# ---------------------------------------------------------------------------
+
+def _multinomial(counts):
+    total = math.factorial(sum(counts))
+    for c in counts:
+        total //= math.factorial(c)
+    return total
+
+
+def _reference_rank(assignment):
+    """Lexicographic rank by counting the arrangements that sort before it."""
+    remaining = Counter(assignment)
+    rank = 0
+    for level in assignment:
+        for smaller in sorted(remaining):
+            if smaller >= level:
+                break
+            if remaining[smaller]:
+                remaining[smaller] -= 1
+                rank += _multinomial(remaining.values())
+                remaining[smaller] += 1
+        remaining[level] -= 1
+    return rank
+
+
+def _reference_container(state):
+    """The module docstring's layout, one bit at a time, MSB first."""
+    spec = state.spec
+    n = state.n_antennas
+    bits = []
+
+    def push(value, width):
+        bits.extend((value >> shift) & 1 for shift in range(width - 1, -1, -1))
+
+    if spec.kind == UPQ:
+        params = [spec.total_bits]
+        for k in state.phase_indices:
+            push(k, spec.total_bits)
+    elif spec.kind == UAPQ:
+        params = [spec.total_bits, spec.phase_bits]
+        for k, b in zip(state.phase_indices, state.amplitude_bins):
+            push(k, spec.phase_bits)
+            push(b, spec.total_bits - spec.phase_bits)
+    else:
+        params = [spec.phase_bits, spec.group_size, spec.level_exponent]
+        for k in state.phase_indices:
+            push(k, spec.phase_bits)
+        rank_width = (oaq_codeword_count(n, spec.group_size) - 1).bit_length()
+        push(_reference_rank(state.amplitude_assignment), rank_width)
+    packed = bytearray((len(bits) + 7) // 8)
+    for i, bit in enumerate(bits):
+        packed[i // 8] |= bit << (7 - i % 8)
+    tag = {UPQ: 1, UAPQ: 2, HAPQ: 3}[spec.kind]
+    head = bytes([tag, n, *params]) + len(bits).to_bytes(2, "big")
+    return head + bytes(packed), len(bits)
+
+
+def _shuffled_state(spec, n_antennas, rng):
+    """A random state whose H-APQ assignment is a shuffled level pool (any width)."""
+    if spec.kind != HAPQ:
+        return _random_state(spec, n_antennas, rng)
+    m = spec.group_size
+    num_levels = -(-n_antennas // m)
+    pool = [min(i // m, num_levels - 1) + 1 for i in range(n_antennas)]
+    return RelayState(
+        spec=spec,
+        phase_indices=tuple(int(v) for v in rng.integers(0, 1 << spec.phase_bits, n_antennas)),
+        amplitude_assignment=tuple(int(v) for v in rng.permutation(pool)),
+    )
+
+
+def test_container_matches_reference_packer():
+    rng = np.random.default_rng(4)
+    for n_antennas in (1, 3, 16, 32):
+        specs = [
+            QuantizerSpec(UPQ, total_bits=8),
+            QuantizerSpec(UPQ, total_bits=5),
+            QuantizerSpec(UAPQ, total_bits=8, phase_bits=4),
+            QuantizerSpec(UAPQ, total_bits=5, phase_bits=2),
+        ]
+        # m = N_R leaves a single assignment: a zero-width rank field
+        for m in sorted({1, 2, n_antennas}):
+            if m <= n_antennas:
+                specs.append(QuantizerSpec(HAPQ, phase_bits=4, group_size=m))
+                specs.append(QuantizerSpec(HAPQ, phase_bits=3, group_size=m))
+        for spec in specs:
+            for _ in range(5):
+                state = _shuffled_state(spec, n_antennas, rng)
+                expected, n_bits = _reference_container(state)
+                assert n_bits == quantizer_bits(spec, n_antennas)
+                blob = pack_container(encode_relay_state(state))
+                assert blob == expected
+                assert decode_relay_state(unpack_container(blob)) == state
+
+
+def test_wide_rank_field_layout():
+    rng = np.random.default_rng(5)
+    # 32! assignments: a 118-bit rank field after 32 x 4 phase bits
+    spec = QuantizerSpec(HAPQ, phase_bits=4, group_size=1)
+    assert (oaq_codeword_count(32, 1) - 1).bit_length() == 118
+    extremes = [tuple(range(1, 33)), tuple(range(32, 0, -1))]
+    for assignment in extremes + [tuple(int(v) + 1 for v in rng.permutation(32))]:
+        indices = tuple(int(v) for v in rng.integers(0, 16, 32))
+        state = RelayState(spec=spec, phase_indices=indices, amplitude_assignment=assignment)
+        encoded = encode_relay_state(state)
+        assert len(encoded.payload) == 246
+        expected, _ = _reference_container(state)
+        assert pack_container(encoded) == expected
+        assert decode_relay_state(unpack_container(expected)) == state

@@ -58,6 +58,14 @@ def test_quantize_numeric_error_exit_code(capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_quantize_rejects_more_antennas_than_the_container_holds(capsys):
+    # the state and symbols exist; the debug container's N_R byte cannot hold 256
+    received = ",".join(["1+1j"] * 256)
+    assert main(["quantize", "--spec", "UPQ:q=2", "--input", received]) == 2
+    err = capsys.readouterr().err
+    assert "numeric error: container holds at most 255 antennas, got N_R=256" in err
+
+
 def test_bits_subcommand(tmp_path, capsys):
     out_path = tmp_path / "bits.csv"
     code = main([
