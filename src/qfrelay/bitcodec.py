@@ -42,6 +42,7 @@ from .quantizers import (
     QuantizerSpec,
     RelayState,
     oaq_codeword_count,
+    oaq_level_multiset,
     quantizer_bits,
 )
 
@@ -62,18 +63,10 @@ _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 @lru_cache(maxsize=1024, typed=True)
 def _assignment_layout(n_antennas, group_size):
-    """(sorted level multiset, assignment count, rank width) of an O-AQ grouping.
-
-    The multiset lists each level index once per antenna it is assigned to:
-    group_size times for the lower levels, the remainder for the top one.
-    """
+    """(sorted level multiset, assignment count, rank width) of an O-AQ grouping."""
     total = oaq_codeword_count(n_antennas, group_size)
-    num_levels = -(-n_antennas // group_size)
-    levels = []
-    for level in range(1, num_levels):
-        levels.extend([level] * group_size)
-    levels.extend([num_levels] * (n_antennas - (num_levels - 1) * group_size))
-    return tuple(levels), total, (total - 1).bit_length()
+    pool = oaq_level_multiset(n_antennas, group_size)
+    return pool, total, (total - 1).bit_length()
 
 
 def _check_assignment(assignment, pool):

@@ -133,8 +133,17 @@ def _cmd_quantize(args):
                 "amplitude bins: " + " ".join(str(b) for b in state.amplitude_bins)
             )
         lines.append(f"bits: {quantizer_bits(spec, received.shape[0])}")
-        lines.append("container: " + pack_container(encoded).hex())
-    with _output(args.out) as stream:
+        try:
+            lines.append("container: " + pack_container(encoded).hex())
+        except ValueError:
+            # the state is valid even when the debug container cannot hold it
+            _write_lines(args.out, lines)
+            raise
+    _write_lines(args.out, lines)
+
+
+def _write_lines(path, lines):
+    with _output(path) as stream:
         stream.write("\n".join(lines) + "\n")
 
 

@@ -21,6 +21,8 @@ Example::
 
 Unknown keys are rejected so typos fail loudly.  ``detector`` (mismatched),
 ``marginal_samples`` (64) and ``workers`` (available cores) are optional.
+The detectors score every candidate message, so the candidate count
+C = M**n_s may be at most ``MAX_CANDIDATES`` (2**16).
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ _TOP_KEYS = (
     "seed", "detector", "marginal_samples", "workers",
 )
 _SPEC_KEYS = ("kind", "q", "qbar", "m", "family_n")
+# largest candidate count C = M**n_s a sweep may enumerate: a detector batch
+# holds every candidate, and at the cap the relay inputs of a 256-trial
+# mismatched batch at n_r = 4 already take 1 GiB
+MAX_CANDIDATES = 1 << 16
+
 _REQUIRED_TOP = ("n_s", "n_r", "n_d", "M", "snr_db_grid", "trials_per_point", "seed")
 
 
@@ -77,6 +84,12 @@ class SweepConfig:
         if self.alphabet not in SUPPORTED_ALPHABETS:
             raise ConfigValidationError(
                 f"M must be one of {SUPPORTED_ALPHABETS}, got {self.alphabet}"
+            )
+        candidates = self.alphabet**self.n_source
+        if candidates > MAX_CANDIDATES:
+            raise ConfigValidationError(
+                f"candidate count C = M**n_s = {candidates} exceeds the cap of "
+                f"{MAX_CANDIDATES}"
             )
         if not self.specs:
             raise ConfigValidationError("at least one [spec] block is required")

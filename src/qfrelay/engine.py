@@ -87,7 +87,8 @@ def candidate_relay_symbols(spec, basis):
         norms = basis.norms()
         if np.any(norms == 0.0):
             raise ValueError("candidate relay input has zero norm")
-        ratios = np.minimum(basis.amps / norms[..., None], 1.0)
+        ratios = basis.amps / norms[..., None]
+        np.minimum(ratios, 1.0, out=ratios)
         bins = qz.amplitude_bin(ratios, spec.amplitude_bits)
         indices = basis.phase_indices(spec.phase_bits)
         return qz.uapq_symbols_from_parts(indices, bins, spec.total_bits, spec.phase_bits)
@@ -95,10 +96,14 @@ def candidate_relay_symbols(spec, basis):
         level_set, gain_phasor = _hapq_tables(
             spec.phase_bits, spec.group_size, spec.level_exponent, n_antennas
         )
-        assignment = qz.oaq_levels_for_ranks(
+        # flat offset of entry [level - 1, phase index] in the row-major table
+        flat = qz.oaq_levels_for_ranks(
             basis.ranks(), level_set.group_size, level_set.num_levels
         )
-        return gain_phasor[assignment - 1, basis.phase_indices(spec.phase_bits)]
+        flat -= 1
+        flat *= gain_phasor.shape[1]
+        flat += basis.phase_indices(spec.phase_bits)
+        return gain_phasor.take(flat)
     return qz.af_relay_symbols(basis.values)
 
 

@@ -115,14 +115,24 @@ class QuantizerSpec:
 # ---------------------------------------------------------------------------
 
 def wrap_phase(theta):
-    """Reduce an angle (radians) to the canonical [0, 2*pi) domain."""
+    """Reduce an angle (radians) to the canonical [0, 2*pi) domain.
+
+    Exact shortcut: for |theta| <= 2*pi, fmod is exact, so np.mod(theta, 2*pi)
+    is theta, or theta + 2*pi when theta < 0, which is what the array path adds.
+    """
     arr = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("phase must be finite")
-    wrapped = np.mod(arr, TWO_PI)
-    # mod can round up to exactly 2*pi for tiny negative inputs
-    if wrapped.ndim == 0:
+    if arr.ndim == 0:
+        wrapped = np.mod(arr, TWO_PI)
+        # mod can round up to exactly 2*pi for tiny negative inputs
         return 0.0 if wrapped == TWO_PI else float(wrapped)
+    if arr.size and -TWO_PI <= arr.min() and arr.max() <= TWO_PI:
+        wrapped = (arr < 0).astype(float)
+        wrapped *= TWO_PI
+        wrapped += arr
+    else:
+        wrapped = np.mod(arr, TWO_PI)
     wrapped[wrapped == TWO_PI] = 0.0
     return wrapped
 
@@ -139,14 +149,15 @@ def phase_index(theta, bits):
     sectors = 1 << bits
     if np.ndim(wrapped) == 0:
         return int(np.ceil(wrapped * sectors / TWO_PI - 0.5)) % sectors
-    # fused form of ceil(theta * 2**bits / (2*pi) - 0.5); the operation
-    # sequence matches the expression exactly, buffers are just reused
-    scaled = wrapped * sectors
-    scaled /= TWO_PI
-    scaled -= 0.5
-    np.ceil(scaled, out=scaled)
-    index = scaled.astype(np.int64)
-    index %= sectors
+    # ceil(theta * 2**bits / (2*pi) - 0.5) in the same operation order, in
+    # the fresh array wrap_phase returned; the index is non-negative, so
+    # masking equals the modulo
+    wrapped *= sectors
+    wrapped /= TWO_PI
+    wrapped -= 0.5
+    np.ceil(wrapped, out=wrapped)
+    index = wrapped.astype(np.int64)
+    index &= sectors - 1
     return index
 
 
@@ -206,15 +217,24 @@ def amplitude_bin(values, bits):
     """
     _require_positive_int(bits, "amplitude bits")
     v = np.asarray(values, dtype=float)
-    if not np.all((v > 0.0) & (v <= 1.0)):
+    # min and max carry a NaN through, so the comparison rejects it
+    if v.size and not (v.min() > 0.0 and v.max() <= 1.0):
         raise ValueError("normalized amplitudes must lie in (0, 1]")
-    bins = np.floor(v * (1 << bits)).astype(np.int64)
-    return np.minimum(bins, (1 << bits) - 1)
+    # truncation is floor on the positive values the check lets through
+    bins = (v * (1 << bits)).astype(np.int64)
+    return np.minimum(bins, (1 << bits) - 1, out=bins if bins.ndim else None)
 
 
 def bin_center(bins, bits):
     """Reconstruction point (j + 0.5) / 2**bits of amplitude bin j."""
     return (np.asarray(bins, dtype=float) + 0.5) / (1 << bits)
+
+
+@lru_cache(maxsize=None)
+def _bin_center_table(bits):
+    table = bin_center(np.arange(1 << bits), bits)
+    table.flags.writeable = False
+    return table
 
 
 def uniform_amplitude_quantize(values, bits):
@@ -232,9 +252,11 @@ def _vector_norm(amps):
 
 def uapq_symbols_from_parts(indices, bins, total_bits, phase_bits):
     """Relay symbols from stored U-APQ phase indices and amplitude bins."""
-    centers = bin_center(bins, total_bits - phase_bits)
-    gains = centers / _vector_norm(centers)[..., None]
-    return gains * sector_phasor(indices, phase_bits)
+    gains = _bin_center_table(total_bits - phase_bits)[bins]
+    gains /= _vector_norm(gains)[..., None]
+    symbols = sector_phasor(indices, phase_bits)
+    symbols *= gains
+    return symbols
 
 
 def uapq_parts_from_polar(theta, amps, total_bits, phase_bits):
@@ -316,23 +338,47 @@ def build_level_set(n_antennas, group_size, level_exponent=2):
 
 
 def oaq_sort_ranks(amps):
-    """Ascending sort rank of each antenna amplitude, ties broken by index."""
+    """Ascending sort rank of each antenna amplitude, ties broken by index.
+
+    Exact for n <= 8: each pair i < j is compared once, and i ranks below j
+    unless a[j] < a[i], which is the stable-sort order (NaN has no defined rank).
+    """
     a = np.asarray(amps, dtype=float)
     n = a.shape[-1]
     if n <= 8:
-        # pairwise counting beats argsort for small arrays and vectorizes
-        # cleanly over batch dimensions
-        left = a[..., :, None]
-        right = a[..., None, :]
-        beats = np.less(right, left)
-        ties = np.equal(right, left)
-        ties &= np.arange(n) < np.arange(n)[:, None]
-        beats |= ties
-        return np.count_nonzero(beats, axis=-1)
+        # antenna-major rows keep every compare contiguous; rank j starts
+        # at j (every i < j below it) and loses one per i that it beats
+        rows = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+        ranks = np.empty(rows.shape, dtype=np.uint8)
+        for j in range(n):
+            ranks[j] = j
+        lower = np.empty(rows.shape[1:], dtype=bool)
+        step = lower.view(np.uint8)
+        for i in range(n):
+            for j in range(i + 1, n):
+                np.less(rows[j], rows[i], out=lower)
+                ranks[i] += step
+                ranks[j] -= step
+        return np.ascontiguousarray(np.moveaxis(ranks, 0, -1), dtype=np.intp)
     order = np.argsort(a, axis=-1, kind="stable")
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.broadcast_to(np.arange(n), order.shape), axis=-1)
     return ranks
+
+
+@lru_cache(maxsize=1024, typed=True)
+def oaq_level_multiset(n_antennas, group_size):
+    """Sorted level indices of every valid O-AQ assignment, as a tuple.
+
+    Each level index appears once per antenna it is assigned to:
+    group_size times for the lower levels, the remainder for the top one.
+    """
+    num_levels = -(-n_antennas // group_size)
+    levels = []
+    for level in range(1, num_levels):
+        levels.extend([level] * group_size)
+    levels.extend([num_levels] * (n_antennas - (num_levels - 1) * group_size))
+    return tuple(levels)
 
 
 def oaq_levels_for_ranks(ranks, group_size, num_levels):
@@ -450,18 +496,33 @@ class RelayState:
                 raise ValueError("H-APQ state uses an assignment, not amplitude bins")
             if len(self.amplitude_assignment) != n:
                 raise ValueError("need one level index per antenna")
-            num_levels = -(-n // spec.group_size)
-            counts = [0] * num_levels
-            for level in self.amplitude_assignment:
-                if not 1 <= level <= num_levels:
-                    raise ValueError(f"level index {level} out of range 1..{num_levels}")
-                counts[level - 1] += 1
-            expected = [spec.group_size] * (num_levels - 1)
-            expected.append(n - (num_levels - 1) * spec.group_size)
-            if counts != expected:
-                raise ValueError(
-                    f"level multiplicities {counts} violate the O-AQ grouping {expected}"
+            # bytes() takes integers only, as the element-wise check does;
+            # anything it refuses, or a mismatch, goes to that check
+            try:
+                valid = bytes(sorted(self.amplitude_assignment)) == bytes(
+                    oaq_level_multiset(n, spec.group_size)
                 )
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                self._check_levels_one_by_one()
+
+    def _check_levels_one_by_one(self):
+        """Element-wise H-APQ assignment check that names what is wrong."""
+        n = len(self.phase_indices)
+        group_size = self.spec.group_size
+        num_levels = -(-n // group_size)
+        counts = [0] * num_levels
+        for level in self.amplitude_assignment:
+            if not 1 <= level <= num_levels:
+                raise ValueError(f"level index {level} out of range 1..{num_levels}")
+            counts[level - 1] += 1
+        expected = [group_size] * (num_levels - 1)
+        expected.append(n - (num_levels - 1) * group_size)
+        if counts != expected:
+            raise ValueError(
+                f"level multiplicities {counts} violate the O-AQ grouping {expected}"
+            )
 
     @property
     def n_antennas(self):

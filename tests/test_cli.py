@@ -62,8 +62,26 @@ def test_quantize_rejects_more_antennas_than_the_container_holds(capsys):
     # the state and symbols exist; the debug container's N_R byte cannot hold 256
     received = ",".join(["1+1j"] * 256)
     assert main(["quantize", "--spec", "UPQ:q=2", "--input", received]) == 2
+    captured = capsys.readouterr()
+    assert "numeric error: container holds at most 255 antennas, got N_R=256" in captured.err
+    # the computed state is still reported; only the container line is missing
+    lines = captured.out.splitlines()
+    assert lines[0] == "method: U-PQ(q=2)"
+    assert lines[1] == "x_R: " + ", ".join(["0.0625+0j"] * 256)
+    assert lines[2] == "phase indices: " + " ".join(["0"] * 256)
+    assert lines[3:] == ["bits: 512"]
+
+
+def test_ber_rejects_a_candidate_count_above_the_cap(tmp_path, capsys):
+    # parsed only: the sweep would enumerate C = 16**8 = 2**32 candidates
+    config = tmp_path / "huge.cfg"
+    config.write_text(
+        "n_s = 8\nn_r = 4\nn_d = 4\nM = 16\nsnr_db_grid = 0\n"
+        "trials_per_point = 1\nseed = 1\n[spec]\nkind = AF\n"
+    )
+    assert main(["ber", str(config)]) == 1
     err = capsys.readouterr().err
-    assert "numeric error: container holds at most 255 antennas, got N_R=256" in err
+    assert "candidate count C = M**n_s = 4294967296 exceeds the cap of 65536" in err
 
 
 def test_bits_subcommand(tmp_path, capsys):

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from qfrelay.config import (
+    MAX_CANDIDATES,
     ConfigParseError,
     ConfigValidationError,
     SweepConfig,
@@ -129,3 +130,14 @@ def test_sweep_config_direct_validation():
         SweepConfig(4, 4, 4, 4, (spec,), (0.0,), 10, 1, detector="x")
     with pytest.raises(ConfigValidationError, match="trials_per_point"):
         SweepConfig(4, 4, 4, 4, (spec,), (0.0,), 0, 1)
+
+
+def test_candidate_count_is_capped(tmp_path):
+    # parsed only: running n_s = 8, M = 16 would enumerate 2**32 candidates
+    huge = MINIMAL.replace("n_s = 4", "n_s = 8").replace("M = 4", "M = 16")
+    message = f"candidate count C = M\\*\\*n_s = {16**8} exceeds the cap of {MAX_CANDIDATES}"
+    with pytest.raises(ConfigValidationError, match=message):
+        parse_config(_write(tmp_path, huge))
+    # the cap itself is accepted: M = 16, n_s = 4 gives C = 2**16
+    at_cap = MINIMAL.replace("M = 4", "M = 16")
+    assert parse_config(_write(tmp_path, at_cap)).alphabet**4 == MAX_CANDIDATES
