@@ -41,6 +41,7 @@ from .quantizers import (
     UPQ,
     QuantizerSpec,
     RelayState,
+    check_oaq_assignment,
     oaq_codeword_count,
     oaq_level_multiset,
     quantizer_bits,
@@ -69,21 +70,6 @@ def _assignment_layout(n_antennas, group_size):
     return pool, total, (total - 1).bit_length()
 
 
-def _check_assignment(assignment, pool):
-    if len(assignment) != len(pool):
-        raise ValueError(f"expected {len(pool)} level indices, got {len(assignment)}")
-    if tuple(sorted(assignment)) == pool:
-        return
-    num_levels = pool[-1]
-    seen = [0] * num_levels
-    for level in assignment:
-        if not 1 <= level <= num_levels:
-            raise ValueError(f"level index {level} out of range 1..{num_levels}")
-        seen[level - 1] += 1
-    counts = [pool.count(level) for level in range(1, num_levels + 1)]
-    raise ValueError(f"level multiplicities {seen} violate the O-AQ grouping {counts}")
-
-
 def rank_assignment(assignment, n_antennas, group_size):
     """Zero-based lexicographic rank of a valid O-AQ level assignment.
 
@@ -94,7 +80,9 @@ def rank_assignment(assignment, n_antennas, group_size):
     leaves count * c / t arrangements; both are exact integers.
     """
     pool, count, _ = _assignment_layout(n_antennas, group_size)
-    _check_assignment(assignment, pool)
+    if len(assignment) != len(pool):
+        raise ValueError(f"expected {len(pool)} level indices, got {len(assignment)}")
+    check_oaq_assignment(assignment, n_antennas, group_size)
     remaining = list(pool)
     rank = 0
     for open_slots, level in zip(range(n_antennas, 1, -1), assignment):

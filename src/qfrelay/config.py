@@ -30,8 +30,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .link import DETECTORS
 from .codebook import SUPPORTED_ALPHABETS
+from .engine import DETECTORS
 from .quantizers import KINDS, QuantizerSpec
 
 

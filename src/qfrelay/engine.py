@@ -4,9 +4,10 @@ Evaluates batches of trials, and several relay methods per trial, on shared
 channel draws.  Randomness stays per-trial: every trial draws its own
 message, channels and noise from the stream keyed by (seed, snr_index,
 trial_index), so counts are independent of batch size, worker count and
-scheduling.  The single-trial reference path in :mod:`qfrelay.link` runs
-through the same candidate-metric code with a batch of one, and the test
-suite pins the two paths to bit-identical decisions.
+scheduling.  Each detector has one scoring function, which takes a batch:
+the single-trial reference path in :mod:`qfrelay.link` calls it with a
+batch of one and :func:`count_errors` with a batch of B, so the two paths
+share every score bit for bit.
 
 The detectors are genie-aided: the destination knows all three link
 matrices and the relay's quantization method.  The mismatched detector
@@ -38,9 +39,14 @@ class CandidateBasis:
     The phase indices, amplitude sort ranks and vector norms are shared by
     every quantizer evaluated on the same candidates, so they are computed
     once per batch.
+
+    ``held`` keeps the last spec's candidate stack alive until the next
+    spec's replaces it.  Freed when its scoring function returns, the whole
+    per-spec working set would sit free at the top of the heap, malloc would
+    hand it back to the OS, and every spec would page-fault it in again.
     """
 
-    __slots__ = ("values", "theta", "amps", "_phase", "_ranks", "_norms")
+    __slots__ = ("values", "theta", "amps", "_phase", "_ranks", "_norms", "held")
 
     def __init__(self, values):
         self.values = values
@@ -49,6 +55,7 @@ class CandidateBasis:
         self._phase = {}
         self._ranks = None
         self._norms = None
+        self.held = None
 
     def phase_indices(self, bits):
         if bits not in self._phase:
@@ -62,7 +69,7 @@ class CandidateBasis:
 
     def norms(self):
         if self._norms is None:
-            self._norms = np.sqrt(np.einsum("...i,...i->...", self.amps, self.amps))
+            self._norms = qz._vector_norm(self.amps)
         return self._norms
 
 
@@ -84,12 +91,7 @@ def candidate_relay_symbols(spec, basis):
         indices = basis.phase_indices(spec.total_bits)
         return qz.upq_symbols_from_indices(indices, spec.total_bits, n_antennas)
     if spec.kind == qz.UAPQ:
-        norms = basis.norms()
-        if np.any(norms == 0.0):
-            raise ValueError("candidate relay input has zero norm")
-        ratios = basis.amps / norms[..., None]
-        np.minimum(ratios, 1.0, out=ratios)
-        bins = qz.amplitude_bin(ratios, spec.amplitude_bits)
+        bins = qz.uapq_amplitude_bins(basis.amps, basis.norms(), spec.amplitude_bits)
         indices = basis.phase_indices(spec.phase_bits)
         return qz.uapq_symbols_from_parts(indices, bins, spec.total_bits, spec.phase_bits)
     if spec.kind == qz.HAPQ:
@@ -133,18 +135,65 @@ def _candidate_products(h_sd, h_sr, codewords):
     return sd_cands, relay_in
 
 
+def _shared_terms(y_sd, h_sd, h_sr, codewords, sigma2, noise):
+    """What every spec of a batch shares: the SD term and the candidate basis.
+
+    Without relay-noise samples (``noise`` is None) this is the mismatched
+    detector's squared SD distance and the noiseless relay-input basis.
+    With samples of shape (B, L, N_R) it is the marginalized detector's
+    -dSD/sigma2 and the basis of the noisy (B, L, C, N_R) stack.
+    """
+    sd_cands, relay_in = _candidate_products(h_sd, h_sr, codewords)
+    sd_term = _sq_dists(y_sd, sd_cands)
+    if noise is None:
+        return sd_term, CandidateBasis(relay_in)
+    noisy = relay_in[:, None, :, :] + noise[:, :, None, :]  # (B, L, C, N_R)
+    return sd_term / -sigma2, CandidateBasis(noisy)
+
+
+def _score_mismatched(shared, spec, h_rd, y_rd, sigma2):
+    """(B, C) metrics of the mismatched detector; lower is better.
+
+    Squared SD distance plus squared RD distance against the noiseless-relay
+    surrogate of each message.  The common 1/sigma2 weight cancels, so
+    ``sigma2`` is unused.
+    """
+    sd_term, basis = shared
+    relay_cands = basis.held = candidate_relay_symbols(spec, basis)
+    rd_cands = h_rd @ relay_cands.transpose(0, 2, 1)  # (B, N_D, C)
+    return sd_term + _sq_dists(y_rd, rd_cands)
+
+
+def _score_marginalized(shared, spec, h_rd, y_rd, sigma2):
+    """(B, C) scores of the marginalized detector; higher is better.
+
+    -dSD/sigma2 plus a stable log-sum-exp of -dRD/sigma2 over the shared
+    relay-noise samples.
+    """
+    sd_term, basis = shared
+    relay_cands = basis.held = candidate_relay_symbols(spec, basis)
+    rd_cands = h_rd[:, None] @ relay_cands.transpose(0, 1, 3, 2)  # (B, L, N_D, C)
+    rd_scores = _sq_dists(y_rd[:, None, :], rd_cands) / -sigma2  # (B, L, C)
+    peak = rd_scores.max(axis=1, keepdims=True)
+    return sd_term + (peak[:, 0, :] + np.log(np.exp(rd_scores - peak).sum(axis=1)))
+
+
+# detector name -> (scoring function, the pick of the best candidate)
+_DETECTION = {
+    "mismatched": (_score_mismatched, np.argmin),
+    "marginalized": (_score_marginalized, np.argmax),
+}
+DETECTORS = tuple(_DETECTION)
+
+
 def mismatched_metrics(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec):
     """Reference per-candidate metric of the mismatched detector.
 
     Returns an array of shape (C,): squared SD distance plus squared RD
     distance against the noiseless-relay surrogate of each message.
     """
-    sd_cands, relay_in = _candidate_products(h_sd[None], h_sr[None], codewords)
-    basis = CandidateBasis(relay_in)
-    relay_cands = candidate_relay_symbols(spec, basis)
-    rd_cands = h_rd[None] @ relay_cands.transpose(0, 2, 1)
-    metrics = _sq_dists(y_sd[None], sd_cands) + _sq_dists(y_rd[None], rd_cands)
-    return metrics[0]
+    shared = _shared_terms(y_sd[None], h_sd[None], h_sr[None], codewords, None, None)
+    return _score_mismatched(shared, spec, h_rd[None], y_rd[None], None)[0]
 
 
 def marginalized_scores(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec, sigma2, noise):
@@ -154,26 +203,10 @@ def marginalized_scores(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec, sigma2, n
     score of each candidate is -dSD/sigma2 plus a stable log-sum-exp of
     -dRD/sigma2 over the samples; higher is better.
     """
-    scores = _marginalized_scores_batch(
-        y_sd[None], y_rd[None], h_sd[None], h_sr[None], h_rd[None],
-        codewords, spec, sigma2, noise[None],
+    shared = _shared_terms(
+        y_sd[None], h_sd[None], h_sr[None], codewords, sigma2, noise[None]
     )
-    return scores[0]
-
-
-def _marginalized_scores_batch(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec, sigma2, noise):
-    sd_cands, relay_in = _candidate_products(h_sd, h_sr, codewords)
-    sd_part = _sq_dists(y_sd, sd_cands) / -sigma2  # (B, C)
-    noisy = relay_in[:, None, :, :] + noise[:, :, None, :]  # (B, L, C, N_R)
-    basis = CandidateBasis(noisy)
-    relay_cands = candidate_relay_symbols(spec, basis)
-    rd_cands = h_rd[:, None] @ relay_cands.transpose(0, 1, 3, 2)  # (B, L, N_D, C)
-    rd_scores = _sq_dists(y_rd[:, None, :], rd_cands) / -sigma2  # (B, L, C)
-    peak = rd_scores.max(axis=1, keepdims=True)
-    log_sum = peak[:, 0, :] + np.log(
-        np.exp(rd_scores - peak).sum(axis=1)
-    )
-    return sd_part + log_sum
+    return _score_marginalized(shared, spec, h_rd[None], y_rd[None], sigma2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +258,9 @@ def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
     makes method comparisons paired.  Returns an int64 array of
     ``len(specs)`` bit-error counts.
     """
-    if detector not in ("mismatched", "marginalized"):
+    if detector not in _DETECTION:
         raise ValueError(f"unknown detector {detector!r}")
+    score, pick = _DETECTION[detector]
     for spec in specs:
         spec.validate_for(n_relay)
     codebook = build_codebook(alphabet, n_source)
@@ -244,31 +278,10 @@ def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
             n_source, n_relay, n_dest, codebook, sigma2, seed, snr_index,
             trials, marginal,
         )
-        if detector == "mismatched":
-            sd_cands, relay_in = _candidate_products(h_sd, h_sr, codebook.codewords)
-            basis = CandidateBasis(relay_in)
-            sd_dists = _sq_dists(y_sd, sd_cands)
-            for spec_row, spec in enumerate(specs):
-                x_relay = qz.relay_symbols(y_sr, spec)
-                y_rd = _matvec(h_rd, x_relay) + z_rd
-                relay_cands = candidate_relay_symbols(spec, basis)
-                rd_cands = h_rd @ relay_cands.transpose(0, 2, 1)
-                metrics = sd_dists + _sq_dists(y_rd, rd_cands)
-                detected = np.argmin(metrics, axis=-1)
-                errors[spec_row] += int(codebook.bit_errors(sent, detected).sum())
-        else:
-            sd_cands, relay_in = _candidate_products(h_sd, h_sr, codebook.codewords)
-            sd_scores = _sq_dists(y_sd, sd_cands) / -sigma2
-            noisy = relay_in[:, None, :, :] + noise[:, :, None, :]
-            basis = CandidateBasis(noisy)
-            for spec_row, spec in enumerate(specs):
-                x_relay = qz.relay_symbols(y_sr, spec)
-                y_rd = _matvec(h_rd, x_relay) + z_rd
-                relay_cands = candidate_relay_symbols(spec, basis)
-                rd_cands = h_rd[:, None] @ relay_cands.transpose(0, 1, 3, 2)
-                rd_scores = _sq_dists(y_rd[:, None, :], rd_cands) / -sigma2
-                peak = rd_scores.max(axis=1, keepdims=True)
-                log_sum = peak[:, 0, :] + np.log(np.exp(rd_scores - peak).sum(axis=1))
-                detected = np.argmax(sd_scores + log_sum, axis=-1)
-                errors[spec_row] += int(codebook.bit_errors(sent, detected).sum())
+        shared = _shared_terms(y_sd, h_sd, h_sr, codebook.codewords, sigma2, noise)
+        for spec_row, spec in enumerate(specs):
+            x_relay = qz.relay_symbols(y_sr, spec)
+            y_rd = _matvec(h_rd, x_relay) + z_rd
+            detected = pick(score(shared, spec, h_rd, y_rd, sigma2), axis=-1)
+            errors[spec_row] += int(codebook.bit_errors(sent, detected).sum())
     return errors

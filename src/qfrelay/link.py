@@ -6,8 +6,9 @@ write to and reload from relay memory), and retransmits in the second
 slot.  The destination detects the message from the direct and relayed
 observations with genie channel knowledge.
 
-:func:`run_trial` is the single-trial reference path; the batched engine
-reproduces its outcomes bit for bit.
+:func:`run_trial` is the single-trial reference path.  Its detectors score
+through the engine's scoring function for each detector with a batch of
+one, so the batched engine reproduces its outcomes bit for bit.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .channel import (
     trial_stream,
 )
 from .codebook import build_codebook
+from .engine import DETECTORS
 from .quantizers import AF, QuantizerSpec, af_relay_symbols, relay_state, relay_symbols_from_state
-
-DETECTORS = ("mismatched", "marginalized")
 
 
 @dataclass(frozen=True)

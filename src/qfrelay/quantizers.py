@@ -121,16 +121,19 @@ def wrap_phase(theta):
     is theta, or theta + 2*pi when theta < 0, which is what the array path adds.
     """
     arr = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("phase must be finite")
     if arr.ndim == 0:
+        if not np.isfinite(arr):
+            raise ValueError("phase must be finite")
         wrapped = np.mod(arr, TWO_PI)
         # mod can round up to exactly 2*pi for tiny negative inputs
         return 0.0 if wrapped == TWO_PI else float(wrapped)
+    # min and max carry a NaN through, so every entry here is finite
     if arr.size and -TWO_PI <= arr.min() and arr.max() <= TWO_PI:
         wrapped = (arr < 0).astype(float)
         wrapped *= TWO_PI
         wrapped += arr
+    elif not np.all(np.isfinite(arr)):
+        raise ValueError("phase must be finite")
     else:
         wrapped = np.mod(arr, TWO_PI)
     wrapped[wrapped == TWO_PI] = 0.0
@@ -259,14 +262,23 @@ def uapq_symbols_from_parts(indices, bins, total_bits, phase_bits):
     return symbols
 
 
+def uapq_amplitude_bins(amps, norms, amplitude_bits):
+    """U-APQ amplitude bins: each amplitude over its vector's norm, binned.
+
+    ``norms`` is ``_vector_norm(amps)``; callers that quantize one set of
+    amplitudes under several budgets compute it once.
+    """
+    if np.any(norms == 0.0):
+        raise ValueError("received vector has zero norm")
+    ratios = amps / norms[..., None]
+    # float roundoff can push the largest ratio a hair above 1
+    np.minimum(ratios, 1.0, out=ratios)
+    return amplitude_bin(ratios, amplitude_bits)
+
+
 def uapq_parts_from_polar(theta, amps, total_bits, phase_bits):
     """Quantize polar components to U-APQ (phase index, amplitude bin) pairs."""
-    norm = _vector_norm(amps)
-    if np.any(norm == 0.0):
-        raise ValueError("received vector has zero norm")
-    # float roundoff can push the largest ratio a hair above 1
-    ratios = np.minimum(amps / norm[..., None], 1.0)
-    bins = amplitude_bin(ratios, total_bits - phase_bits)
+    bins = uapq_amplitude_bins(amps, _vector_norm(amps), total_bits - phase_bits)
     return phase_index(theta, phase_bits), bins
 
 
@@ -379,6 +391,33 @@ def oaq_level_multiset(n_antennas, group_size):
         levels.extend([level] * group_size)
     levels.extend([num_levels] * (n_antennas - (num_levels - 1) * group_size))
     return tuple(levels)
+
+
+def check_oaq_assignment(assignment, n_antennas, group_size):
+    """Reject a level assignment whose multiplicities break the O-AQ grouping.
+
+    Raises ``ValueError`` naming the first out-of-range level or the wrong
+    multiplicities, and ``TypeError`` for an in-range level that is not an
+    integer (a float such as 1.0 included).
+    """
+    pool = oaq_level_multiset(n_antennas, group_size)
+    # bytes() takes integers only, as the element-wise check does; anything
+    # it refuses (a level above 255 too), or a mismatch, goes to that check
+    try:
+        if bytes(sorted(assignment)) == bytes(pool):
+            return
+    except (TypeError, ValueError):
+        pass
+    num_levels = pool[-1]
+    counts = [0] * num_levels
+    for level in assignment:
+        if not 1 <= level <= num_levels:
+            raise ValueError(f"level index {level} out of range 1..{num_levels}")
+        counts[level - 1] += 1
+    expected = [group_size] * (num_levels - 1)
+    expected.append(n_antennas - (num_levels - 1) * group_size)
+    if counts != expected:
+        raise ValueError(f"level multiplicities {counts} violate the O-AQ grouping {expected}")
 
 
 def oaq_levels_for_ranks(ranks, group_size, num_levels):
@@ -496,33 +535,7 @@ class RelayState:
                 raise ValueError("H-APQ state uses an assignment, not amplitude bins")
             if len(self.amplitude_assignment) != n:
                 raise ValueError("need one level index per antenna")
-            # bytes() takes integers only, as the element-wise check does;
-            # anything it refuses, or a mismatch, goes to that check
-            try:
-                valid = bytes(sorted(self.amplitude_assignment)) == bytes(
-                    oaq_level_multiset(n, spec.group_size)
-                )
-            except (TypeError, ValueError):
-                valid = False
-            if not valid:
-                self._check_levels_one_by_one()
-
-    def _check_levels_one_by_one(self):
-        """Element-wise H-APQ assignment check that names what is wrong."""
-        n = len(self.phase_indices)
-        group_size = self.spec.group_size
-        num_levels = -(-n // group_size)
-        counts = [0] * num_levels
-        for level in self.amplitude_assignment:
-            if not 1 <= level <= num_levels:
-                raise ValueError(f"level index {level} out of range 1..{num_levels}")
-            counts[level - 1] += 1
-        expected = [group_size] * (num_levels - 1)
-        expected.append(n - (num_levels - 1) * group_size)
-        if counts != expected:
-            raise ValueError(
-                f"level multiplicities {counts} violate the O-AQ grouping {expected}"
-            )
+            check_oaq_assignment(self.amplitude_assignment, n, spec.group_size)
 
     @property
     def n_antennas(self):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from qfrelay.channel import trial_stream
+from qfrelay import engine
+from qfrelay.channel import _matvec, snr_db_to_sigma2, trial_stream
+from qfrelay.codebook import build_codebook
 from qfrelay.engine import CandidateBasis, candidate_relay_symbols, count_errors
 from qfrelay.link import PointConfig, run_trial
 from qfrelay.quantizers import (
@@ -70,6 +72,31 @@ def test_engine_counts_equal_reference_trials(detector, samples, snr_db):
             detector=detector, marginal_samples=max(1, samples), batch_size=13,
         )
         assert int(batched[0]) == reference, (spec.label(), detector, snr_db)
+
+
+@pytest.mark.parametrize("detector", ["mismatched", "marginalized"])
+def test_batched_scores_equal_reference_scores_bitwise(detector):
+    # every score, not only the decision it leads to, must match the
+    # batch-of-one reference call on the same trial
+    codebook = build_codebook(4, 2)
+    sigma2 = snr_db_to_sigma2(4.0)
+    samples = 8 if detector == "marginalized" else 0
+    sent, h_sr, h_sd, h_rd, y_sr, y_sd, z_rd, noise = engine._draw_batch(
+        2, 4, 3, codebook, sigma2, 77, 1, range(13), samples
+    )
+    score, _ = engine._DETECTION[detector]
+    shared = engine._shared_terms(y_sd, h_sd, h_sr, codebook.codewords, sigma2, noise)
+    for spec in SPECS:
+        y_rd = _matvec(h_rd, relay_symbols(y_sr, spec)) + z_rd
+        batched = score(shared, spec, h_rd, y_rd, sigma2)
+        for row in range(len(sent)):
+            args = (y_sd[row], y_rd[row], h_sd[row], h_sr[row], h_rd[row],
+                    codebook.codewords, spec)
+            if detector == "mismatched":
+                alone = engine.mismatched_metrics(*args)
+            else:
+                alone = engine.marginalized_scores(*args, sigma2, noise[row])
+            assert np.array_equal(batched[row], alone), (spec.label(), row)
 
 
 def test_engine_counts_do_not_depend_on_batch_size():
