@@ -100,11 +100,22 @@ class LinkRealization:
 
 
 def sample_links(n_source, n_relay, n_dest, rng):
-    """Draw the three link matrices, in SR, SD, RD order."""
-    h_sr = sample_channel(n_relay, n_source, rng)
-    h_sd = sample_channel(n_dest, n_source, rng)
-    h_rd = sample_channel(n_dest, n_relay, rng)
-    return LinkRealization(h_sr=h_sr, h_sd=h_sd, h_rd=h_rd)
+    """Draw the three link matrices, in SR, SD, RD order.
+
+    One draw covers all three; the stream gives the same numbers as three
+    successive :func:`sample_channel` calls.
+    """
+    if min(n_source, n_relay, n_dest) < 1:
+        raise ValueError("channel dimensions must be at least 1")
+    sr = n_relay * n_source
+    sd = sr + n_dest * n_source
+    draws = rng.standard_normal((sd + n_dest * n_relay, 2))
+    entries = draws.view(np.complex128)[:, 0] * _INV_SQRT2
+    return LinkRealization(
+        h_sr=entries[:sr].reshape(n_relay, n_source),
+        h_sd=entries[sr:sd].reshape(n_dest, n_source),
+        h_rd=entries[sd:].reshape(n_dest, n_relay),
+    )
 
 
 def apply_link(h, x, noise, rng):

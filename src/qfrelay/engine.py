@@ -27,18 +27,18 @@ from . import quantizers as qz
 from .channel import _matvec, sample_links, sample_noise, snr_db_to_sigma2, trial_stream
 from .codebook import build_codebook
 
-_MISMATCHED_BATCH = 256
-# the marginalized candidate arrays are bandwidth-bound; small batches keep
-# the (batch, samples, candidates, antennas) stacks near cache size
-_MARGINALIZED_BATCH_BUDGET = 256
+# bytes of the complex (batch, [samples,] candidates, antennas) stack that
+# sizes a batch: every spec's candidate work is bandwidth-bound, and at half
+# of a 2 MiB L2 its temporaries stay near cache size
+_CANDIDATE_STACK_BUDGET = 1 << 20
 
 
 class CandidateBasis:
     """Polar view of candidate relay inputs with memoized shared pieces.
 
-    The phase indices, amplitude sort ranks and vector norms are shared by
-    every quantizer evaluated on the same candidates, so they are computed
-    once per batch.
+    The phase indices, amplitude sort ranks, vector norms and H-APQ table
+    offsets are shared by every quantizer evaluated on the same candidates,
+    so they are computed once per batch.
 
     ``held`` keeps the last spec's candidate stack alive until the next
     spec's replaces it.  Freed when its scoring function returns, the whole
@@ -46,7 +46,7 @@ class CandidateBasis:
     hand it back to the OS, and every spec would page-fault it in again.
     """
 
-    __slots__ = ("values", "theta", "amps", "_phase", "_ranks", "_norms", "held")
+    __slots__ = ("values", "theta", "amps", "_phase", "_ranks", "_norms", "_flat", "held")
 
     def __init__(self, values):
         self.values = values
@@ -55,6 +55,7 @@ class CandidateBasis:
         self._phase = {}
         self._ranks = None
         self._norms = None
+        self._flat = {}
         self.held = None
 
     def phase_indices(self, bits):
@@ -71,6 +72,23 @@ class CandidateBasis:
         if self._norms is None:
             self._norms = qz._vector_norm(self.amps)
         return self._norms
+
+    def level_phase_offsets(self, level_set, phase_bits):
+        """Flat offset of entry [level - 1, phase index] in the H-APQ table.
+
+        The table is row-major, (levels, 2**phase_bits).  The level exponent
+        only changes its entries, so specs differing in it share the offsets.
+        """
+        key = (level_set.group_size, phase_bits)
+        if key not in self._flat:
+            flat = qz.oaq_levels_for_ranks(
+                self.ranks(), level_set.group_size, level_set.num_levels
+            )
+            flat -= 1
+            flat *= 1 << phase_bits
+            flat += self.phase_indices(phase_bits)
+            self._flat[key] = flat
+        return self._flat[key]
 
 
 @lru_cache(maxsize=None)
@@ -98,15 +116,8 @@ def candidate_relay_symbols(spec, basis):
         level_set, gain_phasor = _hapq_tables(
             spec.phase_bits, spec.group_size, spec.level_exponent, n_antennas
         )
-        # flat offset of entry [level - 1, phase index] in the row-major table
-        flat = qz.oaq_levels_for_ranks(
-            basis.ranks(), level_set.group_size, level_set.num_levels
-        )
-        flat -= 1
-        flat *= gain_phasor.shape[1]
-        flat += basis.phase_indices(spec.phase_bits)
-        return gain_phasor.take(flat)
-    return qz.af_relay_symbols(basis.values)
+        return gain_phasor.take(basis.level_phase_offsets(level_set, spec.phase_bits))
+    return qz.af_symbols_from_norms(basis.values, basis.norms())
 
 
 def _sq_dists(y, cands):
@@ -218,21 +229,22 @@ def _draw_batch(n_source, n_relay, n_dest, codebook, sigma2, seed, snr_index,
     """Per-trial draws for a batch, in the documented stream order.
 
     Each trial consumes, in order: the message index, the SR, SD and RD
-    link matrices, then the SR, SD and RD noise (the SR and SD received
-    vectors are formed on the spot), and finally the detector's relay-noise
-    samples when marginalizing.
+    link matrices, then the SR, SD and RD noise, and finally the detector's
+    relay-noise samples when marginalizing.  A trial's noise is one
+    ``sample_noise`` draw: the stream gives the same numbers however its
+    draws are split, so the SR and SD received vectors are formed for the
+    whole batch once the loop is done.
     """
     batch = len(trials)
     sent = np.empty(batch, dtype=np.int64)
     h_sr = np.empty((batch, n_relay, n_source), dtype=complex)
     h_sd = np.empty((batch, n_dest, n_source), dtype=complex)
     h_rd = np.empty((batch, n_dest, n_relay), dtype=complex)
-    y_sr = np.empty((batch, n_relay), dtype=complex)
-    y_sd = np.empty((batch, n_dest), dtype=complex)
-    z_rd = np.empty((batch, n_dest), dtype=complex)
-    noise = None
-    if marginal_samples:
-        noise = np.empty((batch, marginal_samples, n_relay), dtype=complex)
+    # noise columns: SR [0, sd), SD [sd, rd), RD [rd, relay), relay samples after
+    sd = n_relay
+    rd = sd + n_dest
+    relay = rd + n_dest
+    noise = np.empty((batch, relay + marginal_samples * n_relay), dtype=complex)
     for row, trial in enumerate(trials):
         rng = trial_stream(seed, snr_index, trial)
         sent[row] = rng.integers(codebook.n_messages)
@@ -240,13 +252,20 @@ def _draw_batch(n_source, n_relay, n_dest, codebook, sigma2, seed, snr_index,
         h_sr[row] = links.h_sr
         h_sd[row] = links.h_sd
         h_rd[row] = links.h_rd
-        x = codebook.codewords[sent[row]]
-        y_sr[row] = _matvec(links.h_sr, x) + sample_noise(n_relay, sigma2, rng)
-        y_sd[row] = _matvec(links.h_sd, x) + sample_noise(n_dest, sigma2, rng)
-        z_rd[row] = sample_noise(n_dest, sigma2, rng)
-        if marginal_samples:
-            noise[row] = sample_noise((marginal_samples, n_relay), sigma2, rng)
-    return sent, h_sr, h_sd, h_rd, y_sr, y_sd, z_rd, noise
+        noise[row] = sample_noise(noise.shape[1], sigma2, rng)
+    x = codebook.codewords[sent]
+    y_sr = _matvec(h_sr, x) + noise[:, :sd]
+    y_sd = _matvec(h_sd, x) + noise[:, sd:rd]
+    relay_noise = None
+    if marginal_samples:
+        relay_noise = noise[:, relay:].reshape(batch, marginal_samples, n_relay)
+    return sent, h_sr, h_sd, h_rd, y_sr, y_sd, noise[:, rd:relay], relay_noise
+
+
+def _batch_size(n_candidates, n_relay, marginal_samples):
+    """Trials per batch whose candidate stack fits the byte budget, at least 1."""
+    stack = n_candidates * n_relay * max(1, marginal_samples) * np.dtype(complex).itemsize
+    return max(1, _CANDIDATE_STACK_BUDGET // stack)
 
 
 def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
@@ -267,10 +286,7 @@ def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
     sigma2 = snr_db_to_sigma2(snr_db)
     marginal = marginal_samples if detector == "marginalized" else 0
     if batch_size is None:
-        if detector == "mismatched":
-            batch_size = _MISMATCHED_BATCH
-        else:
-            batch_size = max(1, _MARGINALIZED_BATCH_BUDGET // max(1, marginal_samples))
+        batch_size = _batch_size(codebook.n_messages, n_relay, marginal)
     errors = np.zeros(len(specs), dtype=np.int64)
     for start in range(trial_start, trial_stop, batch_size):
         trials = range(start, min(start + batch_size, trial_stop))

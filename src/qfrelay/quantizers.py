@@ -353,7 +353,13 @@ def oaq_sort_ranks(amps):
     """Ascending sort rank of each antenna amplitude, ties broken by index.
 
     Exact for n <= 8: each pair i < j is compared once, and i ranks below j
-    unless a[j] < a[i], which is the stable-sort order (NaN has no defined rank).
+    unless a[j] < a[i], which is the stable-sort order.
+
+    Precondition: every amplitude is finite.  NaN has no defined rank, and
+    the two paths rank it differently (the argsort path for n > 8 puts it
+    last); this kernel does not check, so the public entry points
+    (``ordered_amplitude_quantize`` and the H-APQ relay functions built on
+    it) reject non-finite amplitudes before they get here.
     """
     a = np.asarray(amps, dtype=float)
     n = a.shape[-1]
@@ -398,13 +404,16 @@ def check_oaq_assignment(assignment, n_antennas, group_size):
 
     Raises ``ValueError`` naming the first out-of-range level or the wrong
     multiplicities, and ``TypeError`` for an in-range level that is not an
-    integer (a float such as 1.0 included).
+    integer (a float such as 1.0 or a bool such as True included).
     """
     pool = oaq_level_multiset(n_antennas, group_size)
-    # bytes() takes integers only, as the element-wise check does; anything
-    # it refuses (a level above 255 too), or a mismatch, goes to that check
+    # bytes() takes integers only, as the element-wise check does, and bools;
+    # anything it refuses (a level above 255 too), a mismatch or a bool goes
+    # to that check.  On a match a bool can only equal level 1, and the
+    # level-1 entries sort first, group_size of them.
     try:
-        if bytes(sorted(assignment)) == bytes(pool):
+        levels = sorted(assignment)
+        if bytes(levels) == bytes(pool) and bool not in map(type, levels[:group_size]):
             return
     except (TypeError, ValueError):
         pass
@@ -413,6 +422,8 @@ def check_oaq_assignment(assignment, n_antennas, group_size):
     for level in assignment:
         if not 1 <= level <= num_levels:
             raise ValueError(f"level index {level} out of range 1..{num_levels}")
+        if isinstance(level, (bool, np.bool_)):
+            raise TypeError(f"level index {level!r} is not an integer")
         counts[level - 1] += 1
     expected = [group_size] * (num_levels - 1)
     expected.append(n_antennas - (num_levels - 1) * group_size)
@@ -480,13 +491,17 @@ def hapq_relay_symbols(received, phase_bits, group_size, level_exponent=2):
 # AF baseline
 # ---------------------------------------------------------------------------
 
+def af_symbols_from_norms(received, norms):
+    """AF symbols from received vectors and their norms ``_vector_norm(|y|)``."""
+    if np.any(norms == 0.0):
+        raise ValueError("received vector has zero norm")
+    return received / norms[..., None]
+
+
 def af_relay_symbols(received):
     """Amplify-forward baseline: scale the received vector to unit power."""
     y = np.asarray(received, dtype=complex)
-    norm = _vector_norm(np.abs(y))
-    if np.any(norm == 0.0):
-        raise ValueError("received vector has zero norm")
-    return y / norm[..., None]
+    return af_symbols_from_norms(y, _vector_norm(np.abs(y)))
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,8 @@ def test_rank_rejects_bad_input():
         rank_assignment((1, 1, 2), 4, 2)  # wrong length
     with pytest.raises(TypeError):
         rank_assignment((1.0, 1.0, 2.0, 2.0), 4, 2)  # levels must be integers
+    with pytest.raises(TypeError):
+        rank_assignment((True, True, 2, 2), 4, 2)  # a bool is not a level
     with pytest.raises(ValueError):
         unrank_assignment(6, 4, 2)  # out of range
     with pytest.raises(ValueError):

@@ -63,6 +63,16 @@ def test_split_draws_match_block_draws():
     assert np.array_equal(block, parts)
 
 
+def test_sample_links_equals_three_channel_draws():
+    links = sample_links(2, 3, 5, trial_stream(4, 1, 9))
+    rng = trial_stream(4, 1, 9)
+    assert np.array_equal(links.h_sr, sample_channel(3, 2, rng))
+    assert np.array_equal(links.h_sd, sample_channel(5, 2, rng))
+    assert np.array_equal(links.h_rd, sample_channel(5, 3, rng))
+    with pytest.raises(ValueError):
+        sample_links(2, 0, 5, rng)
+
+
 def test_noise_variance():
     rng = trial_stream(11, 0, 0)
     z = sample_noise(200000, 0.25, rng)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qfrelay import engine
-from qfrelay.channel import _matvec, snr_db_to_sigma2, trial_stream
+from qfrelay.channel import _matvec, sample_channel, sample_noise, snr_db_to_sigma2, trial_stream
 from qfrelay.codebook import build_codebook
+from qfrelay.config import MAX_CANDIDATES
 from qfrelay.engine import CandidateBasis, candidate_relay_symbols, count_errors
 from qfrelay.link import PointConfig, run_trial
 from qfrelay.quantizers import (
@@ -128,3 +129,43 @@ def test_engine_shared_evaluation_equals_isolated():
 def test_engine_rejects_bad_detector():
     with pytest.raises(ValueError):
         count_errors(4, 4, 4, 4, SPECS[:1], 0.0, 0, 0, 0, 10, detector="bogus")
+
+
+def _draws_trial_by_trial(n_source, n_relay, n_dest, codebook, sigma2, seed,
+                          snr_index, trial, samples):
+    # the documented stream order, one draw per quantity
+    rng = trial_stream(seed, snr_index, trial)
+    sent = rng.integers(codebook.n_messages)
+    h_sr = sample_channel(n_relay, n_source, rng)
+    h_sd = sample_channel(n_dest, n_source, rng)
+    h_rd = sample_channel(n_dest, n_relay, rng)
+    x = codebook.codewords[sent]
+    y_sr = _matvec(h_sr, x) + sample_noise(n_relay, sigma2, rng)
+    y_sd = _matvec(h_sd, x) + sample_noise(n_dest, sigma2, rng)
+    z_rd = sample_noise(n_dest, sigma2, rng)
+    noise = sample_noise((samples, n_relay), sigma2, rng) if samples else None
+    return sent, h_sr, h_sd, h_rd, y_sr, y_sd, z_rd, noise
+
+
+@pytest.mark.parametrize("samples", [0, 5])
+def test_draw_batch_equals_trial_by_trial_draws(samples):
+    codebook = build_codebook(4, 2)
+    sigma2 = snr_db_to_sigma2(3.0)
+    trials = range(40, 51)
+    batch = engine._draw_batch(2, 3, 5, codebook, sigma2, 8, 2, trials, samples)
+    if not samples:
+        assert batch[-1] is None
+    for row, trial in enumerate(trials):
+        alone = _draws_trial_by_trial(2, 3, 5, codebook, sigma2, 8, 2, trial, samples)
+        for name, got, want in zip(("sent", "h_sr", "h_sd", "h_rd", "y_sr", "y_sd",
+                                    "z_rd", "noise"), batch, alone):
+            if want is not None:
+                assert np.array_equal(got[row], want), (name, trial)
+
+
+def test_default_batch_fits_the_candidate_stack_budget():
+    # criterion 7's mismatched shape (C = 4**4, N_R = 4), the marginalized
+    # L = 64 shape, and the candidate cap
+    assert engine._batch_size(256, 4, 0) == 64
+    assert engine._batch_size(256, 4, 64) == 1
+    assert engine._batch_size(MAX_CANDIDATES, 4, 0) == 1

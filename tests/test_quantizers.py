@@ -418,6 +418,24 @@ def test_oaq_rejects_bad_input():
         ordered_amplitude_quantize([0.1, -0.2, 0.3, 0.4], ls)
 
 
+@pytest.mark.parametrize("n", [4, 9])
+def test_nan_amplitudes_never_reach_the_rank_kernel(n):
+    # oaq_sort_ranks ranks NaN differently on its n <= 8 and n > 8 paths,
+    # so every public entry point must reject NaN before ranking
+    amps = np.linspace(0.1, 0.9, n)
+    amps[1] = np.nan
+    y = amps.astype(complex)
+    spec = spec_hapq(m=2)
+    with pytest.raises(ValueError):
+        ordered_amplitude_quantize(amps, build_level_set(n, 2, 2))
+    with pytest.raises(ValueError):
+        hapq_relay_symbols(y, 4, 2)
+    with pytest.raises(ValueError):
+        relay_state(y, spec)
+    with pytest.raises(ValueError):
+        relay_symbols(y, spec)
+
+
 # ---------------------------------------------------------------------------
 # H-APQ
 # ---------------------------------------------------------------------------
@@ -496,6 +514,12 @@ def test_state_validation():
             spec=spec_hapq(m=2),
             phase_indices=(0, 0, 0, 0),
             amplitude_assignment=(1, 1, 1, 2),  # multiplicity violated
+        )
+    with pytest.raises(TypeError):
+        RelayState(
+            spec=spec_hapq(m=2),
+            phase_indices=(0, 0, 0, 0),
+            amplitude_assignment=(True, True, 2, 2),  # a bool is not a level
         )
 
 
