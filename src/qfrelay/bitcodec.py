@@ -20,9 +20,9 @@ bits.  ``EncodedRelayState.payload`` holds that integer's bits as a tuple
 of 0/1 values, most significant first.
 
 A small byte container wraps a payload for debug dumps: one spec tag byte,
-one antenna-count byte, the spec parameters (one byte each), a 2-byte
-big-endian bit length, then the payload packed MSB-first with zero padding
-in the final byte.  The container therefore holds at most 255 antennas,
+one antenna-count byte, the spec parameters (one byte each, in
+``KIND_PARAMS`` order), a 2-byte big-endian bit length, then the payload
+packed MSB-first with zero padding in the final byte.  The container therefore holds at most 255 antennas,
 spec parameters of at most 255 and payloads of at most 65535 bits;
 :func:`pack_container` rejects anything larger with a ``ValueError`` that
 names the limit.
@@ -37,6 +37,7 @@ from operator import index
 
 from .quantizers import (
     HAPQ,
+    KIND_PARAMS,
     UAPQ,
     UPQ,
     QuantizerSpec,
@@ -232,43 +233,34 @@ def decode_relay_state(encoded):
 @lru_cache(maxsize=1024)
 def _header_spec(kind, params):
     """The spec a container header names; specs are immutable, so shared."""
-    if kind == UPQ:
-        return QuantizerSpec(UPQ, total_bits=params[0])
-    if kind == UAPQ:
-        return QuantizerSpec(UAPQ, total_bits=params[0], phase_bits=params[1])
-    return QuantizerSpec(
-        HAPQ, phase_bits=params[0], group_size=params[1], level_exponent=params[2]
-    )
+    return QuantizerSpec(kind, **dict(zip(KIND_PARAMS[kind], params)))
 
 
-def _spec_params(spec):
-    if spec.kind == UPQ:
-        return [spec.total_bits]
-    if spec.kind == UAPQ:
-        return [spec.total_bits, spec.phase_bits]
-    return [spec.phase_bits, spec.group_size, spec.level_exponent]
-
-
-def pack_container(encoded):
-    """Byte container: tag, N_R, parameters, bit length, packed payload."""
-    spec = encoded.spec
-    params = _spec_params(spec)
-    n_bits = len(encoded.payload)
-    if encoded.n_antennas > _MAX_BYTE:
+@lru_cache(maxsize=1024)
+def _header(spec, n_antennas):
+    """Container header up to the bit length: tag, N_R, spec parameters."""
+    if n_antennas > _MAX_BYTE:
         raise ValueError(
-            f"container holds at most {_MAX_BYTE} antennas, got N_R={encoded.n_antennas}"
+            f"container holds at most {_MAX_BYTE} antennas, got N_R={n_antennas}"
         )
+    params = [getattr(spec, attr) for attr in KIND_PARAMS[spec.kind]]
     if max(params) > _MAX_BYTE:
         raise ValueError(
             f"container holds spec parameters of at most {_MAX_BYTE}, got {spec.label()}"
         )
+    return bytes([_SPEC_TAGS[spec.kind], n_antennas, *params])
+
+
+def pack_container(encoded):
+    """Byte container: tag, N_R, parameters, bit length, packed payload."""
+    head = _header(encoded.spec, encoded.n_antennas)
+    n_bits = len(encoded.payload)
     if n_bits > _MAX_PAYLOAD_BITS:
         raise ValueError(
             f"container holds payloads of at most {_MAX_PAYLOAD_BITS} bits, got {n_bits}"
         )
     n_bytes = (n_bits + 7) // 8
     body = _payload_to_int(encoded.payload) << (8 * n_bytes - n_bits)
-    head = bytes([_SPEC_TAGS[spec.kind], encoded.n_antennas, *params])
     return head + n_bits.to_bytes(2, "big") + body.to_bytes(n_bytes, "big")
 
 
@@ -280,7 +272,7 @@ def unpack_container(data):
     if kind is None:
         raise ValueError(f"unknown spec tag {data[0]}")
     n_antennas = data[1]
-    n_params = 1 if kind == UPQ else 2 if kind == UAPQ else 3
+    n_params = len(KIND_PARAMS[kind])
     header_len = 2 + n_params + 2
     if len(data) < header_len:
         raise ValueError("container header truncated")

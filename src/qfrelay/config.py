@@ -20,7 +20,8 @@ Example::
     m = 2
 
 Unknown keys are rejected so typos fail loudly.  ``detector`` (mismatched),
-``marginal_samples`` (64) and ``workers`` (available cores) are optional.
+``marginal_samples`` (64) and ``workers`` (available cores) are optional;
+a sweep starts at most min(workers, tasks, cores) worker processes.
 The detectors score every candidate message, so the candidate count
 C = M**n_s may be at most ``MAX_CANDIDATES`` (2**16).
 """
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 from .codebook import SUPPORTED_ALPHABETS
 from .engine import DETECTORS
-from .quantizers import KINDS, QuantizerSpec
+from .quantizers import KINDS, PARAM_KEYS, QuantizerSpec
 
 
 class ConfigError(Exception):
@@ -51,10 +52,13 @@ _TOP_KEYS = (
     "n_s", "n_r", "n_d", "M", "snr_db_grid", "trials_per_point",
     "seed", "detector", "marginal_samples", "workers",
 )
-_SPEC_KEYS = ("kind", "q", "qbar", "m", "family_n")
-# largest candidate count C = M**n_s a sweep may enumerate: a detector batch
-# holds every candidate, and at the cap the relay inputs of a 256-trial
-# mismatched batch at n_r = 4 already take 1 GiB
+_SPEC_KEYS = ("kind", *PARAM_KEYS.values())
+# largest candidate count C = M**n_s a sweep may enumerate.  A batch holds
+# at least one trial, and the detectors score all of a trial's candidates
+# at once, so the cap bounds one trial's candidate stack: C * n_r *
+# max(1, L) * 16 bytes, L being marginal_samples under the marginalized
+# detector and 0 under the mismatched one; at the cap with n_r = 4 and the
+# mismatched detector, 4 MiB of relay inputs
 MAX_CANDIDATES = 1 << 16
 
 _REQUIRED_TOP = ("n_s", "n_r", "n_d", "M", "snr_db_grid", "trials_per_point", "seed")
@@ -133,18 +137,12 @@ def spec_from_fields(fields):
     if kind not in KINDS:
         raise ConfigValidationError(f"unknown spec kind {fields['kind']!r}")
     values = {
-        key: _parse_int(key, fields[key])
-        for key in ("q", "qbar", "m", "family_n")
+        attr: _parse_int(key, fields[key])
+        for attr, key in PARAM_KEYS.items()
         if key in fields
     }
     try:
-        return QuantizerSpec(
-            kind,
-            total_bits=values.get("q"),
-            phase_bits=values.get("qbar"),
-            group_size=values.get("m"),
-            level_exponent=values.get("family_n"),
-        )
+        return QuantizerSpec(kind, **values)
     except ValueError as exc:
         raise ConfigValidationError(str(exc)) from exc
 

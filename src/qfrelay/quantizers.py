@@ -29,6 +29,24 @@ KINDS = (UPQ, UAPQ, HAPQ, AF)
 # Human-readable method names, used for CSV labels and debug dumps.
 METHOD_LABELS = {UPQ: "U-PQ", UAPQ: "U-APQ", HAPQ: "H-APQ", AF: "AF"}
 
+# The parameter schema of every relay method, the one place it is written.
+# PARAM_KEYS maps each QuantizerSpec parameter attribute to its config and
+# CSV key, in CSV column order; KIND_PARAMS lists the attributes each kind
+# takes, in label and container-header order.  Labels write family_n as n.
+PARAM_KEYS = {
+    "total_bits": "q",
+    "phase_bits": "qbar",
+    "group_size": "m",
+    "level_exponent": "family_n",
+}
+KIND_PARAMS = {
+    UPQ: ("total_bits",),
+    UAPQ: ("total_bits", "phase_bits"),
+    HAPQ: ("phase_bits", "group_size", "level_exponent"),
+    AF: (),
+}
+_LABEL_KEYS = {**PARAM_KEYS, "level_exponent": "n"}
+
 
 def _require_positive_int(value, name):
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -44,7 +62,8 @@ class QuantizerSpec:
     U-APQ and H-APQ (qbar), ``group_size`` the number of antennas sharing
     each amplitude level in H-APQ (m), and ``level_exponent`` the
     level-family exponent n that makes the H-APQ amplitude levels
-    proportional to k**(n/2).  AF carries no parameters.
+    proportional to k**(n/2).  AF carries no parameters.  ``KIND_PARAMS``
+    says which parameters each kind takes.
     """
 
     kind: str
@@ -56,33 +75,20 @@ class QuantizerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown quantizer kind {self.kind!r}")
-        if self.kind == UPQ:
-            _require_positive_int(self.total_bits, "q")
-            self._reject("phase_bits", "group_size", "level_exponent")
-        elif self.kind == UAPQ:
-            _require_positive_int(self.total_bits, "q")
-            _require_positive_int(self.phase_bits, "qbar")
-            if self.phase_bits >= self.total_bits:
-                raise ValueError(
-                    f"U-APQ needs qbar < q, got qbar={self.phase_bits} q={self.total_bits}"
-                )
-            self._reject("group_size", "level_exponent")
-        elif self.kind == HAPQ:
-            _require_positive_int(self.phase_bits, "qbar")
-            _require_positive_int(self.group_size, "m")
-            if self.level_exponent is None:
-                object.__setattr__(self, "level_exponent", 2)
-            _require_positive_int(self.level_exponent, "family_n")
-            if self.level_exponent > 4:
-                raise ValueError(f"family_n must be in 1..4, got {self.level_exponent}")
-            self._reject("total_bits")
-        else:  # AF carries no parameters
-            self._reject("total_bits", "phase_bits", "group_size", "level_exponent")
-
-    def _reject(self, *fields):
-        for field in fields:
-            if getattr(self, field) is not None:
-                raise ValueError(f"{self.kind} does not take {field}")
+        if self.kind == HAPQ and self.level_exponent is None:
+            object.__setattr__(self, "level_exponent", 2)
+        params = KIND_PARAMS[self.kind]
+        for attr in params:
+            _require_positive_int(getattr(self, attr), PARAM_KEYS[attr])
+        if self.kind == UAPQ and self.phase_bits >= self.total_bits:
+            raise ValueError(
+                f"U-APQ needs qbar < q, got qbar={self.phase_bits} q={self.total_bits}"
+            )
+        if self.kind == HAPQ and self.level_exponent > 4:
+            raise ValueError(f"family_n must be in 1..4, got {self.level_exponent}")
+        for attr in PARAM_KEYS:
+            if attr not in params and getattr(self, attr) is not None:
+                raise ValueError(f"{self.kind} does not take {attr}")
 
     def validate_for(self, n_antennas):
         """Check the parts of the spec that depend on the array size."""
@@ -101,13 +107,10 @@ class QuantizerSpec:
 
     def label(self):
         name = METHOD_LABELS[self.kind]
-        if self.kind == UPQ:
-            return f"{name}(q={self.total_bits})"
-        if self.kind == UAPQ:
-            return f"{name}(q={self.total_bits},qbar={self.phase_bits})"
-        if self.kind == HAPQ:
-            return f"{name}(qbar={self.phase_bits},m={self.group_size},n={self.level_exponent})"
-        return name
+        params = ",".join(
+            f"{_LABEL_KEYS[attr]}={getattr(self, attr)}" for attr in KIND_PARAMS[self.kind]
+        )
+        return f"{name}({params})" if params else name
 
 
 # ---------------------------------------------------------------------------
@@ -466,25 +469,16 @@ def hapq_symbols_from_polar(theta, amps, phase_bits, level_set):
 
 def hapq_relay_symbols(received, phase_bits, group_size, level_exponent=2):
     """H-APQ relay output together with its storable state."""
-    y = np.asarray(received, dtype=complex)
-    if y.ndim != 1:
+    if np.ndim(received) != 1:
         raise ValueError("hapq_relay_symbols expects a single received vector")
-    level_set = build_level_set(y.shape[-1], group_size, level_exponent)
-    symbols, indices, assignment = hapq_symbols_from_polar(
-        np.angle(y), np.abs(y), phase_bits, level_set
-    )
     spec = QuantizerSpec(
         HAPQ,
         phase_bits=phase_bits,
         group_size=group_size,
         level_exponent=level_exponent,
     )
-    state = RelayState(
-        spec=spec,
-        phase_indices=tuple(int(k) for k in indices),
-        amplitude_assignment=tuple(int(a) for a in assignment),
-    )
-    return symbols, state
+    state = relay_state(received, spec)
+    return relay_symbols_from_state(state), state
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +570,14 @@ def relay_state(received, spec):
             amplitude_bins=tuple(int(b) for b in bins),
         )
     if spec.kind == HAPQ:
-        _, state = hapq_relay_symbols(
-            y, spec.phase_bits, spec.group_size, spec.level_exponent
+        level_set = build_level_set(y.shape[-1], spec.group_size, spec.level_exponent)
+        indices = phase_index(np.angle(y), spec.phase_bits)
+        _, assignment = ordered_amplitude_quantize(np.abs(y), level_set)
+        return RelayState(
+            spec=spec,
+            phase_indices=tuple(int(k) for k in indices),
+            amplitude_assignment=tuple(int(a) for a in assignment),
         )
-        return state
     raise ValueError("AF keeps the continuous signal; it has no relay state")
 
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import engine
-from .quantizers import AF, METHOD_LABELS, quantizer_bits
+from .quantizers import AF, METHOD_LABELS, PARAM_KEYS, quantizer_bits
 
 CSV_COLUMNS = (
     "method", "q", "qbar", "m", "family_n", "n_s", "n_r", "n_d", "M",
@@ -56,45 +57,35 @@ class BerRecord:
         return math.sqrt(p * (1.0 - p) / self.total_bits)
 
     def row(self):
-        def fmt(value):
-            if value is None:
-                return ""
-            if isinstance(value, float):
-                return f"{value:.10g}"
-            return str(value)
-
         return [
-            self.method, fmt(self.q), fmt(self.qbar), fmt(self.m),
-            fmt(self.family_n), fmt(self.n_s), fmt(self.n_r), fmt(self.n_d),
-            fmt(self.alphabet), fmt(float(self.snr_db)), fmt(self.trials),
-            fmt(self.bit_errors), fmt(self.total_bits), fmt(self.ber),
-            fmt(self.n_b), fmt(self.seed), fmt(self.stderr),
+            _cell(value)
+            for value in (
+                self.method, self.q, self.qbar, self.m, self.family_n, self.n_s,
+                self.n_r, self.n_d, self.alphabet, float(self.snr_db), self.trials,
+                self.bit_errors, self.total_bits, self.ber, self.n_b, self.seed,
+                self.stderr,
+            )
         ]
 
 
-@dataclass(frozen=True)
-class _SweepTask:
-    n_source: int
-    n_relay: int
-    n_dest: int
-    alphabet: int
-    specs: tuple
-    snr_db: float
-    snr_index: int
-    seed: int
-    start: int
-    stop: int
-    detector: str
-    marginal_samples: int
+def _cell(value):
+    """One CSV cell: None (a parameter the method does not take, AF's n_b)
+    is blank and a float keeps 10 significant digits."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return str(value)
 
 
 def _run_task(task):
+    cfg, snr_index, start, stop = task
     counts = engine.count_errors(
-        task.n_source, task.n_relay, task.n_dest, task.alphabet, task.specs,
-        task.snr_db, task.snr_index, task.seed, task.start, task.stop,
-        detector=task.detector, marginal_samples=task.marginal_samples,
+        cfg.n_source, cfg.n_relay, cfg.n_dest, cfg.alphabet, cfg.specs,
+        cfg.snr_db_grid[snr_index], snr_index, cfg.seed, start, stop,
+        detector=cfg.detector, marginal_samples=cfg.marginal_samples,
     )
-    return task.snr_index, counts
+    return snr_index, counts
 
 
 def _chunks(trials, workers):
@@ -104,36 +95,32 @@ def _chunks(trials, workers):
 
 
 def sweep_error_counts(cfg):
-    """Bit-error counts, shape (len(specs), len(snr_db_grid))."""
+    """Bit-error counts, shape (len(specs), len(snr_db_grid)).
+
+    The pool starts min(workers, tasks, cores) processes, so a large
+    ``workers`` forks no more processes than there is work or cores for.
+    """
     tasks = [
-        _SweepTask(
-            cfg.n_source, cfg.n_relay, cfg.n_dest, cfg.alphabet, tuple(cfg.specs),
-            snr_db, snr_index, cfg.seed, start, stop, cfg.detector,
-            cfg.marginal_samples,
-        )
-        for snr_index, snr_db in enumerate(cfg.snr_db_grid)
+        (cfg, snr_index, start, stop)
+        for snr_index in range(len(cfg.snr_db_grid))
         for start, stop in _chunks(cfg.trials_per_point, cfg.workers)
     ]
     counts = np.zeros((len(cfg.specs), len(cfg.snr_db_grid)), dtype=np.int64)
-    if cfg.workers <= 1 or len(tasks) == 1:
+    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         results = map(_run_task, tasks)
         for snr_index, chunk_counts in results:
             counts[:, snr_index] += chunk_counts
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for snr_index, chunk_counts in pool.map(_run_task, tasks):
                 counts[:, snr_index] += chunk_counts
     return counts
 
 
 def _spec_fields(spec):
-    return {
-        "method": METHOD_LABELS[spec.kind],
-        "q": spec.total_bits,
-        "qbar": spec.phase_bits,
-        "m": spec.group_size,
-        "family_n": spec.level_exponent,
-    }
+    params = {key: getattr(spec, attr) for attr, key in PARAM_KEYS.items()}
+    return {"method": METHOD_LABELS[spec.kind], **params}
 
 
 def run_ber_sweep(cfg):
@@ -186,35 +173,15 @@ class MemoryRow:
 
 def memory_report(n_r_values, specs):
     """Exact relay memory bits for every (antenna count, method) pair."""
-    rows = []
-    for n_r in n_r_values:
-        for spec in specs:
-            fields = _spec_fields(spec)
-            rows.append(
-                MemoryRow(
-                    n_r=n_r,
-                    n_b=quantizer_bits(spec, n_r),
-                    method=fields["method"],
-                    q=fields["q"],
-                    qbar=fields["qbar"],
-                    m=fields["m"],
-                    family_n=fields["family_n"],
-                )
-            )
-    return rows
+    return [
+        MemoryRow(n_r=n_r, n_b=quantizer_bits(spec, n_r), **_spec_fields(spec))
+        for n_r in n_r_values
+        for spec in specs
+    ]
 
 
 def write_memory_csv(rows, stream):
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("n_r", "method", "q", "qbar", "m", "family_n", "n_b"))
+    writer.writerow([field.name for field in fields(MemoryRow)])
     for row in rows:
-        writer.writerow(
-            [
-                row.n_r, row.method,
-                "" if row.q is None else row.q,
-                "" if row.qbar is None else row.qbar,
-                "" if row.m is None else row.m,
-                "" if row.family_n is None else row.family_n,
-                row.n_b,
-            ]
-        )
+        writer.writerow([_cell(value) for value in astuple(row)])

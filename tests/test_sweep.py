@@ -3,7 +3,9 @@
 import io
 
 import numpy as np
+import pytest
 
+from qfrelay import sweep
 from qfrelay.config import SweepConfig
 from qfrelay.engine import count_errors
 from qfrelay.quantizers import AF, HAPQ, UAPQ, UPQ, QuantizerSpec, quantizer_bits
@@ -83,6 +85,32 @@ def test_worker_counts_are_identical():
         write_ber_csv(records, buffer)
         outputs.append(buffer.getvalue())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("cores, pool_size", [(8, 4), (3, 3)])
+def test_pool_is_bounded_by_tasks_and_cores(monkeypatch, cores, pool_size):
+    # 300 trials at 2 SNRs make 4 tasks; the fake pool runs them in-process,
+    # so the huge worker count never reaches a real ProcessPoolExecutor
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cores)
+    counts = sweep_error_counts(_config(workers=10**5))
+    assert sizes == [pool_size]
+    assert np.array_equal(counts, sweep_error_counts(_config(workers=1)))
 
 
 def test_memory_report_values():
