@@ -14,18 +14,23 @@ ascending index order.
 Rank coding is what makes the H-APQ payload meet the information-theoretic
 bit count instead of the naive ceil(log2(K)) bits per antenna.
 
-The codec packs the fields into one Python integer with shifts and masks,
-in the same MSB-first layout: the first field occupies the most significant
-bits.  ``EncodedRelayState.payload`` holds that integer's bits as a tuple
-of 0/1 values, most significant first.
+The payload is one Python integer of exactly N_b bits, built with shifts
+and masks in the same MSB-first layout: the first field occupies the most
+significant bits.  ``EncodedRelayState.value`` is that integer, and encode,
+pack, unpack and decode all pass it on as it is.
+``EncodedRelayState.payload`` is a view derived from it: the same bits as a
+tuple of 0/1 values, most significant first, for reading the layout.
 
 A small byte container wraps a payload for debug dumps: one spec tag byte,
 one antenna-count byte, the spec parameters (one byte each, in
 ``KIND_PARAMS`` order), a 2-byte big-endian bit length, then the payload
-packed MSB-first with zero padding in the final byte.  The container therefore holds at most 255 antennas,
-spec parameters of at most 255 and payloads of at most 65535 bits;
-:func:`pack_container` rejects anything larger with a ``ValueError`` that
-names the limit.
+packed MSB-first with zero padding in the final byte.  Only N_R limits
+what the container holds: it takes at most 255 antennas, and
+:func:`pack_container` rejects more with a ``ValueError`` that names the
+limit.  Every spec fits, because q and qbar are at most ``MAX_BITS`` (16),
+m is at most N_R and n at most 4, so each parameter fits its byte; the
+longest payload, H-APQ with qbar = 16 and m = 1 at N_R = 255, is 5756 bits,
+well within the 2-byte bit length.
 """
 
 from __future__ import annotations
@@ -52,10 +57,8 @@ _SPEC_TAGS = {UPQ: 1, UAPQ: 2, HAPQ: 3}
 _TAG_KINDS = {tag: kind for kind, tag in _SPEC_TAGS.items()}
 
 _MAX_BYTE = 255
-_MAX_PAYLOAD_BITS = 65535
 
-# payload bit values <-> ASCII binary digits, for int(..., 2) and format()
-_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# ASCII binary digits -> bit values, for the payload view of format() output
 _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -133,41 +136,26 @@ def _payload_bits(spec, n_antennas):
     return quantizer_bits(spec, n_antennas)
 
 
-def _payload_bytes(payload):
-    # one byte per entry: bytes() of an integer or of a buffer such as an
-    # int64 array would not be; tuple() of a tuple is the tuple itself
-    return bytes(tuple(payload))
-
-
-def _payload_to_int(payload):
-    return int(_payload_bytes(payload).translate(_BITS_TO_DIGITS), 2)
-
-
-def _int_to_payload(value, n_bits):
-    if n_bits == 0:
-        return ()
-    return tuple(format(value, f"0{n_bits}b").encode().translate(_DIGITS_TO_BITS))
-
-
 @dataclass(frozen=True)
 class EncodedRelayState:
-    """A relay state serialized to exactly quantizer_bits(spec, n) bits."""
+    """A relay state serialized to one int of exactly quantizer_bits(spec, n) bits."""
 
     spec: QuantizerSpec
     n_antennas: int
-    payload: tuple
+    value: int
 
     def __post_init__(self):
-        try:
-            raw = _payload_bytes(self.payload)
-        except (TypeError, ValueError):
-            raw = None
-        # what survives deleting the 0 and 1 bytes is a non-bit entry
-        if raw is None or raw.translate(None, b"\x00\x01"):
-            raise ValueError("payload must contain only 0/1 bits")
-        expected = _payload_bits(self.spec, self.n_antennas)
-        if len(raw) != expected:
-            raise ValueError(f"payload holds {len(raw)} bits, spec requires {expected}")
+        if not isinstance(self.value, int) or isinstance(self.value, bool):
+            raise ValueError(f"payload must be an int, got {self.value!r}")
+        n_bits = _payload_bits(self.spec, self.n_antennas)
+        if self.value < 0 or self.value >> n_bits:
+            raise ValueError(f"payload must lie in [0, 2**{n_bits}), got {self.value:#x}")
+
+    @property
+    def payload(self):
+        """The payload bits as a tuple of 0/1 values, most significant first."""
+        digits = format(self.value, f"0{_payload_bits(self.spec, self.n_antennas)}b")
+        return tuple(digits.encode().translate(_DIGITS_TO_BITS))
 
 
 def encode_relay_state(state):
@@ -190,8 +178,7 @@ def encode_relay_state(state):
         rank_width = _assignment_layout(n, spec.group_size)[2]
         rank = rank_assignment(state.amplitude_assignment, n, spec.group_size)
         value = (value << rank_width) | rank
-    payload = _int_to_payload(value, _payload_bits(spec, n))
-    return EncodedRelayState(spec=spec, n_antennas=n, payload=payload)
+    return EncodedRelayState(spec=spec, n_antennas=n, value=value)
 
 
 def _fields(value, width, count):
@@ -204,7 +191,7 @@ def decode_relay_state(encoded):
     """Exact inverse of :func:`encode_relay_state`."""
     spec = encoded.spec
     n = encoded.n_antennas
-    value = _payload_to_int(encoded.payload)
+    value = encoded.value
     if spec.kind == UPQ:
         return RelayState(spec=spec, phase_indices=_fields(value, spec.total_bits, n))
     if spec.kind == UAPQ:
@@ -238,30 +225,20 @@ def _header_spec(kind, params):
 
 @lru_cache(maxsize=1024)
 def _header(spec, n_antennas):
-    """Container header up to the bit length: tag, N_R, spec parameters."""
+    """(container header up to the payload, payload bit length) of a spec at N_R."""
     if n_antennas > _MAX_BYTE:
-        raise ValueError(
-            f"container holds at most {_MAX_BYTE} antennas, got N_R={n_antennas}"
-        )
+        raise ValueError(f"container holds at most {_MAX_BYTE} antennas, got N_R={n_antennas}")
+    n_bits = _payload_bits(spec, n_antennas)
     params = [getattr(spec, attr) for attr in KIND_PARAMS[spec.kind]]
-    if max(params) > _MAX_BYTE:
-        raise ValueError(
-            f"container holds spec parameters of at most {_MAX_BYTE}, got {spec.label()}"
-        )
-    return bytes([_SPEC_TAGS[spec.kind], n_antennas, *params])
+    head = bytes([_SPEC_TAGS[spec.kind], n_antennas, *params])
+    return head + n_bits.to_bytes(2, "big"), n_bits
 
 
 def pack_container(encoded):
     """Byte container: tag, N_R, parameters, bit length, packed payload."""
-    head = _header(encoded.spec, encoded.n_antennas)
-    n_bits = len(encoded.payload)
-    if n_bits > _MAX_PAYLOAD_BITS:
-        raise ValueError(
-            f"container holds payloads of at most {_MAX_PAYLOAD_BITS} bits, got {n_bits}"
-        )
+    head, n_bits = _header(encoded.spec, encoded.n_antennas)
     n_bytes = (n_bits + 7) // 8
-    body = _payload_to_int(encoded.payload) << (8 * n_bytes - n_bits)
-    return head + n_bits.to_bytes(2, "big") + body.to_bytes(n_bytes, "big")
+    return head + (encoded.value << (8 * n_bytes - n_bits)).to_bytes(n_bytes, "big")
 
 
 def unpack_container(data):
@@ -285,5 +262,7 @@ def unpack_container(data):
     value = int.from_bytes(body, "big")
     if value & ((1 << padding) - 1):
         raise ValueError("nonzero padding bits in container")
-    payload = _int_to_payload(value >> padding, bit_len)
-    return EncodedRelayState(spec=spec, n_antennas=n_antennas, payload=payload)
+    expected = _payload_bits(spec, n_antennas)
+    if bit_len != expected:
+        raise ValueError(f"payload holds {bit_len} bits, spec requires {expected}")
+    return EncodedRelayState(spec=spec, n_antennas=n_antennas, value=value >> padding)

@@ -28,10 +28,20 @@ class NoiseModel:
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
 
 
+# widest transmit SNR magnitude in dB.  sigma2 then lies in [1e-100, 1e100],
+# far from where 10**(-snr_db / 10) overflows (about -3090 dB) or rounds to
+# zero (about 3240 dB), and both detectors' scores stay finite across it
+MAX_SNR_DB = 1000.0
+
+
 def snr_db_to_sigma2(snr_db):
-    """Noise variance for a transmit SNR of snr_db decibels (SNR = 1/sigma2)."""
-    if not math.isfinite(snr_db):
-        raise ValueError("snr_db must be finite")
+    """Noise variance for a transmit SNR of snr_db decibels (SNR = 1/sigma2).
+
+    |snr_db| may be at most ``MAX_SNR_DB``; NaN and anything wider raise.
+    """
+    # comparisons reject NaN and never convert a huge int to float
+    if not -MAX_SNR_DB <= snr_db <= MAX_SNR_DB:
+        raise ValueError(f"snr_db must be in [-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}], got {snr_db}")
     return 10.0 ** (-snr_db / 10.0)
 
 

@@ -23,7 +23,9 @@ Unknown keys are rejected so typos fail loudly.  ``detector`` (mismatched),
 ``marginal_samples`` (64) and ``workers`` (available cores) are optional;
 a sweep starts at most min(workers, tasks, cores) worker processes.
 The detectors score every candidate message, so the candidate count
-C = M**n_s may be at most ``MAX_CANDIDATES`` (2**16).
+C = M**n_s may be at most ``MAX_CANDIDATES`` (2**16).  Every snr_db_grid
+point must lie within +-``channel.MAX_SNR_DB`` (1000 dB), and q and qbar
+may be at most ``quantizers.MAX_BITS`` (16).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .channel import snr_db_to_sigma2
 from .codebook import SUPPORTED_ALPHABETS
 from .engine import DETECTORS
 from .quantizers import KINDS, PARAM_KEYS, QuantizerSpec
@@ -106,6 +109,11 @@ class SweepConfig:
             raise ConfigValidationError("snr_db_grid must not be empty")
         if any(b <= a for a, b in zip(self.snr_db_grid, self.snr_db_grid[1:])):
             raise ConfigValidationError("snr_db_grid not ascending")
+        for snr_db in self.snr_db_grid:
+            try:
+                snr_db_to_sigma2(snr_db)
+            except ValueError as exc:
+                raise ConfigValidationError(str(exc)) from exc
         if not isinstance(self.trials_per_point, int) or self.trials_per_point < 1:
             raise ConfigValidationError("trials_per_point must be a positive integer")
         if not isinstance(self.seed, int) or self.seed < 0:

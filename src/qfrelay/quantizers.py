@@ -46,6 +46,11 @@ KIND_PARAMS = {
     AF: (),
 }
 _LABEL_KEYS = {**PARAM_KEYS, "level_exponent": "n"}
+# largest q and qbar a spec takes.  A b-bit budget builds 2**b-entry phasor
+# and bin-center tables, so the largest is 2**16 complex entries, 1 MiB, and
+# the int64 sector indices of phase_index cannot overflow
+MAX_BITS = 16
+_BIT_BUDGETS = ("total_bits", "phase_bits")
 
 
 def _require_positive_int(value, name):
@@ -79,7 +84,10 @@ class QuantizerSpec:
             object.__setattr__(self, "level_exponent", 2)
         params = KIND_PARAMS[self.kind]
         for attr in params:
-            _require_positive_int(getattr(self, attr), PARAM_KEYS[attr])
+            value = getattr(self, attr)
+            _require_positive_int(value, PARAM_KEYS[attr])
+            if attr in _BIT_BUDGETS and value > MAX_BITS:
+                raise ValueError(f"{PARAM_KEYS[attr]} must be at most {MAX_BITS}, got {value}")
         if self.kind == UAPQ and self.phase_bits >= self.total_bits:
             raise ValueError(
                 f"U-APQ needs qbar < q, got qbar={self.phase_bits} q={self.total_bits}"

@@ -152,8 +152,8 @@ def test_codec_roundtrip_property(entropy, n_antennas, group_size, phase_bits):
 
 def test_all_zero_payload_decodes_to_ground_state():
     spec = QuantizerSpec(HAPQ, phase_bits=4, group_size=2)
-    n_bits = quantizer_bits(spec, 4)
-    encoded = EncodedRelayState(spec=spec, n_antennas=4, payload=(0,) * n_bits)
+    encoded = EncodedRelayState(spec=spec, n_antennas=4, value=0)
+    assert encoded.payload == (0,) * quantizer_bits(spec, 4)
     state = decode_relay_state(encoded)
     assert state.phase_indices == (0, 0, 0, 0)
     assert state.amplitude_assignment == unrank_assignment(0, 4, 2)
@@ -161,22 +161,27 @@ def test_all_zero_payload_decodes_to_ground_state():
 
 def test_truncated_payload_rejected():
     spec = QuantizerSpec(UPQ, total_bits=8)
-    with pytest.raises(ValueError):
-        EncodedRelayState(spec=spec, n_antennas=4, payload=(0,) * 31)
-    with pytest.raises(ValueError):
-        EncodedRelayState(spec=spec, n_antennas=4, payload=(0,) * 31 + (2,))
+    # a 33-bit value does not fit the 32 bits of four 8-bit antennas
+    with pytest.raises(ValueError, match=r"in \[0, 2\*\*32\), got 0x100000000$"):
+        EncodedRelayState(spec=spec, n_antennas=4, value=1 << 32)
+    blob = pack_container(EncodedRelayState(spec=spec, n_antennas=4, value=0))
+    assert blob[3:5] == (32).to_bytes(2, "big")
+    with pytest.raises(ValueError, match="payload holds 31 bits, spec requires 32"):
+        unpack_container(blob[:3] + (31).to_bytes(2, "big") + blob[5:])
 
 
-def test_payload_entries_are_checked_one_by_one():
+def test_payload_value_is_checked():
     spec = QuantizerSpec(UPQ, total_bits=8)
-    bits = encode_relay_state(RelayState(spec=spec, phase_indices=(1, 2))).payload
-    with pytest.raises(ValueError):
-        EncodedRelayState(spec=spec, n_antennas=2, payload=16)  # an int, not 16 bits
-    with pytest.raises(ValueError):
-        # two int64 entries fill 16 bytes of memory but are 2 bits
-        EncodedRelayState(spec=spec, n_antennas=2, payload=np.array([0, 1]))
-    as_array = EncodedRelayState(spec=spec, n_antennas=2, payload=np.array(bits))
-    assert decode_relay_state(as_array) == RelayState(spec=spec, phase_indices=(1, 2))
+    for value in (True, 1.0, np.int64(1)):
+        with pytest.raises(ValueError, match="payload must be an int"):
+            EncodedRelayState(spec=spec, n_antennas=2, value=value)
+    for value in (-1, 1 << 16):
+        with pytest.raises(ValueError, match=r"payload must lie in \[0, 2\*\*16\)"):
+            EncodedRelayState(spec=spec, n_antennas=2, value=value)
+    widest = EncodedRelayState(spec=spec, n_antennas=2, value=(1 << 16) - 1)
+    assert widest.payload == (1,) * 16
+    assert unpack_container(pack_container(widest)) == widest
+    assert decode_relay_state(widest) == RelayState(spec=spec, phase_indices=(255, 255))
 
 
 def test_hapq_of_full_group_has_no_rank_bits():
@@ -199,6 +204,7 @@ def test_container_golden_hand_trace():
         spec=spec, phase_indices=(0, 1, 2, 3), amplitude_assignment=(2, 1, 1, 2)
     )
     encoded = encode_relay_state(state)
+    assert encoded.value == 0b00011011011
     assert encoded.payload == (0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1)
     assert pack_container(encoded).hex() == "0304020202000b1b60"
 
@@ -247,18 +253,40 @@ def test_container_rejects_malformed():
 
 def test_container_rejects_what_its_header_cannot_hold():
     upq2 = QuantizerSpec(UPQ, total_bits=2)
-    too_many_antennas = EncodedRelayState(spec=upq2, n_antennas=256, payload=(0,) * 512)
+    too_many_antennas = EncodedRelayState(spec=upq2, n_antennas=256, value=0)
     with pytest.raises(ValueError, match="at most 255 antennas, got N_R=256"):
         pack_container(too_many_antennas)
-    wide = QuantizerSpec(UPQ, total_bits=300)
-    with pytest.raises(ValueError, match=r"spec parameters of at most 255, got U-PQ\(q=300\)"):
-        pack_container(EncodedRelayState(spec=wide, n_antennas=1, payload=(0,) * 300))
-    long_spec = QuantizerSpec(HAPQ, phase_bits=255, group_size=1)
-    n_bits = quantizer_bits(long_spec, 255)
-    assert n_bits > 65535
-    long_payload = EncodedRelayState(spec=long_spec, n_antennas=255, payload=(0,) * n_bits)
-    with pytest.raises(ValueError, match=f"payloads of at most 65535 bits, got {n_bits}"):
-        pack_container(long_payload)
+    # q and qbar above 16 are not specs at all, so no header byte overflows
+    with pytest.raises(ValueError, match="q must be at most 16, got 300"):
+        QuantizerSpec(UPQ, total_bits=300)
+    with pytest.raises(ValueError, match="qbar must be at most 16, got 255"):
+        QuantizerSpec(HAPQ, phase_bits=255, group_size=1)
+    # and a header naming q = 17 names no spec
+    blob = bytearray(pack_container(EncodedRelayState(spec=upq2, n_antennas=1, value=0)))
+    blob[2] = 17
+    with pytest.raises(ValueError, match="q must be at most 16, got 17"):
+        unpack_container(bytes(blob))
+
+
+def test_longest_payload_fits_the_bit_length_field():
+    # the widest spec at the most antennas the container holds: 255 x 16
+    # phase bits plus a ceil(log2(255!)) = 1676-bit rank, under 2**16
+    spec = QuantizerSpec(HAPQ, phase_bits=16, group_size=1)
+    n_bits = quantizer_bits(spec, 255)
+    assert n_bits == 5756
+    state = RelayState(
+        spec=spec,
+        phase_indices=tuple(range(65535, 65535 - 255, -1)),
+        amplitude_assignment=tuple(range(255, 0, -1)),  # the largest rank
+    )
+    encoded = encode_relay_state(state)
+    assert encoded.value.bit_length() == n_bits
+    blob = pack_container(encoded)
+    assert blob[:5] == bytes([3, 255, 16, 1, 2]) and blob[5:7] == n_bits.to_bytes(2, "big")
+    assert len(blob) == 7 + (n_bits + 7) // 8
+    again = unpack_container(blob)
+    assert again == encoded
+    assert decode_relay_state(again) == state
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qfrelay.channel import (
+    MAX_SNR_DB,
     LinkRealization,
     NoiseModel,
     apply_link,
@@ -22,6 +23,13 @@ def test_snr_conversion():
     assert snr_db_to_sigma2(300.0) == pytest.approx(1e-30)
     with pytest.raises(ValueError):
         snr_db_to_sigma2(float("nan"))
+    assert snr_db_to_sigma2(MAX_SNR_DB) == pytest.approx(1e-100)
+    assert snr_db_to_sigma2(-MAX_SNR_DB) == pytest.approx(1e100)
+    # past the bound the power would overflow (-3100 dB) or reach zero
+    # (4000 dB); a huge int is rejected without a float conversion
+    for snr_db in (-3100.0, -1000.5, 1000.5, 4000.0, float("inf"), float("-inf"), 10**400):
+        with pytest.raises(ValueError, match=r"snr_db must be in \[-1000, 1000\]"):
+            snr_db_to_sigma2(snr_db)
 
 
 def test_noise_model_validation():

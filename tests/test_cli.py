@@ -50,6 +50,9 @@ def test_quantize_uapq_shows_bins(capsys):
 def test_quantize_rejects_bad_spec(capsys):
     assert main(["quantize", "--spec", "HAPQ:m=0,qbar=4", "--input", "1,1"]) == 1
     assert "error" in capsys.readouterr().err
+    # a 2**300-entry phasor table cannot exist; the spec is refused up front
+    assert main(["quantize", "--spec", "UPQ:q=300", "--input", "2+0j,0+1j"]) == 1
+    assert "error: q must be at most 16, got 300" in capsys.readouterr().err
 
 
 def test_quantize_numeric_error_exit_code(capsys):
@@ -82,6 +85,17 @@ def test_ber_rejects_a_candidate_count_above_the_cap(tmp_path, capsys):
     assert main(["ber", str(config)]) == 1
     err = capsys.readouterr().err
     assert "candidate count C = M**n_s = 4294967296 exceeds the cap of 65536" in err
+
+
+def test_ber_rejects_an_snr_outside_the_range(tmp_path, capsys):
+    # parsed only: at 4000 dB sigma2 would round to zero
+    config = tmp_path / "loud.cfg"
+    config.write_text(
+        "n_s = 2\nn_r = 2\nn_d = 2\nM = 4\nsnr_db_grid = 0 4000\n"
+        "trials_per_point = 1\nseed = 1\n[spec]\nkind = AF\n"
+    )
+    assert main(["ber", str(config)]) == 1
+    assert "snr_db must be in [-1000, 1000], got 4000.0" in capsys.readouterr().err
 
 
 def test_bits_subcommand(tmp_path, capsys):

@@ -94,6 +94,15 @@ def test_validation_names_offending_field(tmp_path):
     oversized = MINIMAL.replace("m = 2", "m = 8")
     with pytest.raises(ConfigValidationError, match="m=8"):
         parse_config(_write(tmp_path, oversized))
+    wide_q = MINIMAL + "\n[spec]\nkind = UPQ\nq = 17\n"
+    with pytest.raises(ConfigValidationError, match="q must be at most 16, got 17"):
+        parse_config(_write(tmp_path, wide_q))
+    wide_qbar = MINIMAL.replace("qbar = 4", "qbar = 17")
+    with pytest.raises(ConfigValidationError, match="qbar must be at most 16, got 17"):
+        parse_config(_write(tmp_path, wide_qbar))
+    loud = MINIMAL.replace("snr_db_grid = 0 5 10", "snr_db_grid = 0 4000")
+    with pytest.raises(ConfigValidationError, match=r"in \[-1000, 1000\], got 4000"):
+        parse_config(_write(tmp_path, loud))
 
 
 def test_spec_must_exist(tmp_path):
@@ -130,6 +139,11 @@ def test_sweep_config_direct_validation():
         SweepConfig(4, 4, 4, 4, (spec,), (0.0,), 10, 1, detector="x")
     with pytest.raises(ConfigValidationError, match="trials_per_point"):
         SweepConfig(4, 4, 4, 4, (spec,), (0.0,), 0, 1)
+    with pytest.raises(ConfigValidationError, match="snr_db must be in"):
+        SweepConfig(4, 4, 4, 4, (spec,), (-1001.0, 0.0), 10, 1)
+    # the bounds themselves are accepted, as are q = 16 and qbar = 15
+    uapq16 = QuantizerSpec(UAPQ, total_bits=16, phase_bits=15)
+    assert SweepConfig(4, 4, 4, 4, (uapq16,), (-1000.0, 1000.0), 10, 1).specs == (uapq16,)
 
 
 def test_candidate_count_is_capped(tmp_path):

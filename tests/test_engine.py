@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from qfrelay import engine
-from qfrelay.channel import _matvec, sample_channel, sample_noise, snr_db_to_sigma2, trial_stream
+from qfrelay.channel import (
+    MAX_SNR_DB,
+    _matvec,
+    sample_channel,
+    sample_noise,
+    snr_db_to_sigma2,
+    trial_stream,
+)
 from qfrelay.codebook import build_codebook
 from qfrelay.config import MAX_CANDIDATES
 from qfrelay.engine import CandidateBasis, candidate_relay_symbols, count_errors
@@ -55,7 +62,9 @@ def test_hapq_gain_phasor_table_matches_formula():
 
 
 @pytest.mark.parametrize("detector,samples", [("mismatched", 0), ("marginalized", 8)])
-@pytest.mark.parametrize("snr_db", [2.0, 12.0])
+# +-MAX_SNR_DB are the grid's limits, sigma2 = 1e100 and 1e-100: the scores
+# stay finite there, so no numpy warning fails the run, and counts still match
+@pytest.mark.parametrize("snr_db", [2.0, 12.0, -MAX_SNR_DB, MAX_SNR_DB])
 def test_engine_counts_equal_reference_trials(detector, samples, snr_db):
     seed = 20260401
     n_trials = 60
