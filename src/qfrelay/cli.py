@@ -23,9 +23,9 @@ from .bitcodec import encode_relay_state, pack_container
 from .config import ConfigError, parse_config, parse_spec_string
 from .quantizers import (
     AF,
-    af_relay_symbols,
     quantizer_bits,
     relay_state,
+    relay_symbols,
     relay_symbols_from_state,
 )
 from .sweep import memory_report, run_ber_sweep, write_ber_csv, write_memory_csv
@@ -109,10 +109,9 @@ def _fmt_complex(value):
 def _cmd_quantize(args):
     spec = parse_spec_string(args.spec)
     received = _parse_complex_vector(args.input)
-    spec.validate_for(received.shape[0])
     lines = [f"method: {spec.label()}"]
     if spec.kind == AF:
-        symbols = af_relay_symbols(received)
+        symbols = relay_symbols(received, spec)
         lines.append("x_R: " + ", ".join(_fmt_complex(v) for v in symbols))
         lines.append("note: no finite bit encoding")
     else:

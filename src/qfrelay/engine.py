@@ -19,105 +19,16 @@ as the near-optimal oracle.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from . import quantizers as qz
 from .channel import _matvec, sample_links, sample_noise, snr_db_to_sigma2, trial_stream
 from .codebook import build_codebook
+from .quantizers import CandidateBasis, candidate_relay_symbols, relay_symbols
 
 # bytes of the complex (batch, [samples,] candidates, antennas) stack that
 # sizes a batch: every spec's candidate work is bandwidth-bound, and at half
 # of a 2 MiB L2 its temporaries stay near cache size
 _CANDIDATE_STACK_BUDGET = 1 << 20
-
-
-class CandidateBasis:
-    """Polar view of candidate relay inputs with memoized shared pieces.
-
-    The phase indices, amplitude sort ranks, vector norms and H-APQ table
-    offsets are shared by every quantizer evaluated on the same candidates,
-    so they are computed once per batch.
-
-    ``held`` keeps the last spec's candidate stack alive until the next
-    spec's replaces it.  Freed when its scoring function returns, the whole
-    per-spec working set would sit free at the top of the heap, malloc would
-    hand it back to the OS, and every spec would page-fault it in again.
-    """
-
-    __slots__ = ("values", "theta", "amps", "_phase", "_ranks", "_norms", "_flat", "held")
-
-    def __init__(self, values):
-        self.values = values
-        self.theta = np.angle(values)
-        self.amps = np.abs(values)
-        self._phase = {}
-        self._ranks = None
-        self._norms = None
-        self._flat = {}
-        self.held = None
-
-    def phase_indices(self, bits):
-        if bits not in self._phase:
-            self._phase[bits] = qz.phase_index(self.theta, bits)
-        return self._phase[bits]
-
-    def ranks(self):
-        if self._ranks is None:
-            self._ranks = qz.oaq_sort_ranks(self.amps)
-        return self._ranks
-
-    def norms(self):
-        if self._norms is None:
-            self._norms = qz._vector_norm(self.amps)
-        return self._norms
-
-    def level_phase_offsets(self, level_set, phase_bits):
-        """Flat offset of entry [level - 1, phase index] in the H-APQ table.
-
-        The table is row-major, (levels, 2**phase_bits).  The level exponent
-        only changes its entries, so specs differing in it share the offsets.
-        """
-        key = (level_set.group_size, phase_bits)
-        if key not in self._flat:
-            flat = qz.oaq_levels_for_ranks(
-                self.ranks(), level_set.group_size, level_set.num_levels
-            )
-            flat -= 1
-            flat *= 1 << phase_bits
-            flat += self.phase_indices(phase_bits)
-            self._flat[key] = flat
-        return self._flat[key]
-
-
-@lru_cache(maxsize=None)
-def _hapq_tables(phase_bits, group_size, level_exponent, n_antennas):
-    level_set = qz.build_level_set(n_antennas, group_size, level_exponent)
-    phasors = qz.sector_phasor(np.arange(1 << phase_bits), phase_bits)
-    # entry [l-1, k] equals levels[l-1] * phasor[k], the same product the
-    # scalar path computes elementwise
-    gain_phasor = level_set.levels[:, None] * phasors[None, :]
-    gain_phasor.flags.writeable = False
-    return level_set, gain_phasor
-
-
-def candidate_relay_symbols(spec, basis):
-    """Relay transmit candidates for one method, from the shared basis."""
-    n_antennas = basis.values.shape[-1]
-    if spec.kind == qz.UPQ:
-        indices = basis.phase_indices(spec.total_bits)
-        return qz.upq_symbols_from_indices(indices, spec.total_bits, n_antennas)
-    if spec.kind == qz.UAPQ:
-        bins = qz.uapq_amplitude_bins(basis.amps, basis.norms(), spec.amplitude_bits)
-        indices = basis.phase_indices(spec.phase_bits)
-        return qz.uapq_symbols_from_parts(indices, bins, spec.total_bits, spec.phase_bits)
-    if spec.kind == qz.HAPQ:
-        level_set, gain_phasor = _hapq_tables(
-            spec.phase_bits, spec.group_size, spec.level_exponent, n_antennas
-        )
-        return gain_phasor.take(basis.level_phase_offsets(level_set, spec.phase_bits))
-    return qz.af_symbols_from_norms(basis.values, basis.norms())
 
 
 def _sq_dists(y, cands):
@@ -296,7 +207,7 @@ def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
         )
         shared = _shared_terms(y_sd, h_sd, h_sr, codebook.codewords, sigma2, noise)
         for spec_row, spec in enumerate(specs):
-            x_relay = qz.relay_symbols(y_sr, spec)
+            x_relay = relay_symbols(y_sr, spec)
             y_rd = _matvec(h_rd, x_relay) + z_rd
             detected = pick(score(shared, spec, h_rd, y_rd, sigma2), axis=-1)
             errors[spec_row] += int(codebook.bit_errors(sent, detected).sum())

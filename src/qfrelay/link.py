@@ -29,7 +29,7 @@ from .channel import (
 )
 from .codebook import build_codebook
 from .engine import DETECTORS
-from .quantizers import AF, QuantizerSpec, af_relay_symbols, relay_state, relay_symbols_from_state
+from .quantizers import AF, QuantizerSpec, relay_state, relay_symbols, relay_symbols_from_state
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def relay_process(received, spec):
     decoded state; AF forwards the normalized received vector directly.
     """
     if spec.kind == AF:
-        return af_relay_symbols(received)
+        return relay_symbols(received, spec)
     state = relay_state(received, spec)
     restored = decode_relay_state(encode_relay_state(state))
     return relay_symbols_from_state(restored)

@@ -5,9 +5,18 @@ quantization (U-APQ), hybrid amplitude-phase quantization (H-APQ, built on
 ordered amplitude quantization, O-AQ) and the amplify-forward baseline,
 plus the memory-bit accounting for each method.
 
-Every kernel treats the last axis as the antenna axis and any leading axes
-as independent batch dimensions, so the same code serves a single received
-vector and a large Monte Carlo batch of candidate vectors.
+Every method quantizes along one path.  The public entry points
+(:func:`relay_symbols` and :func:`relay_state`) check their input once: it
+must be complex-convertible, fit the spec's antenna count and be finite.
+The checked vectors become a :class:`CandidateBasis`, their polar view with
+the phase indices, amplitude ranks and norms memoized, and one per-kind
+kernel in :func:`candidate_relay_symbols` maps that basis to relay symbols.
+The engine builds the same basis over its candidate stacks, so a single
+received vector, a relay batch and a Monte Carlo candidate stack are
+quantized by the same code.  No kernel sees unchecked data; the last axis
+is the antenna axis and any leading axes are independent inputs.  The
+public helpers ``wrap_phase``, ``amplitude_bin`` and
+``ordered_amplitude_quantize`` keep their own input checks.
 """
 
 from __future__ import annotations
@@ -211,15 +220,6 @@ def upq_symbols_from_indices(indices, bits, n_antennas):
     return sector_phasor(indices, bits) * scale
 
 
-def upq_relay_symbols(received, bits):
-    """U-PQ relay output: quantized phases on the unit-power sphere."""
-    y = np.asarray(received, dtype=complex)
-    if y.shape[-1] == 0:
-        raise ValueError("received vector must have at least one antenna")
-    indices = phase_index(np.angle(y), bits)
-    return upq_symbols_from_indices(indices, bits, y.shape[-1])
-
-
 # ---------------------------------------------------------------------------
 # Uniform amplitude quantization (the amplitude half of U-APQ)
 # ---------------------------------------------------------------------------
@@ -276,34 +276,13 @@ def uapq_symbols_from_parts(indices, bins, total_bits, phase_bits):
 def uapq_amplitude_bins(amps, norms, amplitude_bits):
     """U-APQ amplitude bins: each amplitude over its vector's norm, binned.
 
-    ``norms`` is ``_vector_norm(amps)``; callers that quantize one set of
-    amplitudes under several budgets compute it once.
+    ``norms`` is ``CandidateBasis.norms()``, nonzero and shared by every
+    budget quantized from the same amplitudes.
     """
-    if np.any(norms == 0.0):
-        raise ValueError("received vector has zero norm")
     ratios = amps / norms[..., None]
     # float roundoff can push the largest ratio a hair above 1
     np.minimum(ratios, 1.0, out=ratios)
     return amplitude_bin(ratios, amplitude_bits)
-
-
-def uapq_parts_from_polar(theta, amps, total_bits, phase_bits):
-    """Quantize polar components to U-APQ (phase index, amplitude bin) pairs."""
-    bins = uapq_amplitude_bins(amps, _vector_norm(amps), total_bits - phase_bits)
-    return phase_index(theta, phase_bits), bins
-
-
-def uapq_relay_symbols(received, total_bits, phase_bits):
-    """U-APQ relay output: quantized phases and renormalized binned amplitudes."""
-    if not isinstance(phase_bits, int) or not isinstance(total_bits, int):
-        raise ValueError("bit budgets must be integers")
-    if not 1 <= phase_bits < total_bits:
-        raise ValueError(f"U-APQ needs 1 <= qbar < q, got qbar={phase_bits} q={total_bits}")
-    y = np.asarray(received, dtype=complex)
-    indices, bins = uapq_parts_from_polar(
-        np.angle(y), np.abs(y), total_bits, phase_bits
-    )
-    return uapq_symbols_from_parts(indices, bins, total_bits, phase_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +347,11 @@ def oaq_sort_ranks(amps):
 
     Precondition: every amplitude is finite.  NaN has no defined rank, and
     the two paths rank it differently (the argsort path for n > 8 puts it
-    last); this kernel does not check, so the public entry points
-    (``ordered_amplitude_quantize`` and the H-APQ relay functions built on
-    it) reject non-finite amplitudes before they get here.
+    last); this kernel does not check, so the public entry points reject
+    non-finite input before it gets here: ``ordered_amplitude_quantize``
+    its amplitudes, and the entry check of ``relay_symbols`` and
+    ``relay_state`` (which every relay function goes through) the received
+    vector.
     """
     a = np.asarray(amps, dtype=float)
     n = a.shape[-1]
@@ -464,21 +445,142 @@ def ordered_amplitude_quantize(amps, level_set):
     return level_set.levels[assignment - 1], assignment
 
 
-def hapq_symbols_from_polar(theta, amps, phase_bits, level_set):
-    """H-APQ kernel on polar components.
+# ---------------------------------------------------------------------------
+# The polar basis and the one kernel per kind
+# ---------------------------------------------------------------------------
 
-    Returns (relay symbols, phase indices, level assignment); accepts
-    batched inputs.
+class CandidateBasis:
+    """Polar view of relay inputs with memoized shared pieces.
+
+    ``values`` holds complex relay inputs, antennas on the last axis: a
+    single received vector, a relay batch of them, or the engine's
+    candidate stacks.  The phase indices, amplitude sort ranks, vector
+    norms and H-APQ table offsets are shared by every quantizer evaluated
+    on the same inputs, so they are computed once per basis.  The inputs
+    are finite: they passed the entry check of ``relay_symbols`` or
+    ``relay_state``, or are products of finite draws.
+
+    ``held`` keeps the last spec's candidate stack alive until the next
+    spec's replaces it.  Freed when its scoring function returns, the whole
+    per-spec working set would sit free at the top of the heap, malloc would
+    hand it back to the OS, and every spec would page-fault it in again.
     """
-    indices = phase_index(theta, phase_bits)
-    gains, assignment = ordered_amplitude_quantize(amps, level_set)
-    return gains * sector_phasor(indices, phase_bits), indices, assignment
+
+    __slots__ = ("values", "theta", "amps", "_phase", "_ranks", "_norms", "_flat", "held")
+
+    def __init__(self, values):
+        self.values = values
+        self.theta = np.angle(values)
+        self.amps = np.abs(values)
+        self._phase = {}
+        self._ranks = None
+        self._norms = None
+        self._flat = {}
+        self.held = None
+
+    def phase_indices(self, bits):
+        if bits not in self._phase:
+            self._phase[bits] = phase_index(self.theta, bits)
+        return self._phase[bits]
+
+    def ranks(self):
+        if self._ranks is None:
+            self._ranks = oaq_sort_ranks(self.amps)
+        return self._ranks
+
+    def norms(self):
+        """Vector norms of the amplitudes; U-APQ and AF cannot scale a zero one."""
+        if self._norms is None:
+            norms = _vector_norm(self.amps)
+            if np.any(norms == 0.0):
+                raise ValueError("received vector has zero norm")
+            self._norms = norms
+        return self._norms
+
+    def level_phase_offsets(self, level_set, phase_bits):
+        """Flat offset of entry [level - 1, phase index] in the H-APQ table.
+
+        The table is row-major, (levels, 2**phase_bits).  The level exponent
+        only changes its entries, so specs differing in it share the offsets.
+        """
+        key = (level_set.group_size, phase_bits)
+        if key not in self._flat:
+            flat = oaq_levels_for_ranks(self.ranks(), level_set.group_size, level_set.num_levels)
+            flat -= 1
+            flat *= 1 << phase_bits
+            flat += self.phase_indices(phase_bits)
+            self._flat[key] = flat
+        return self._flat[key]
+
+
+@lru_cache(maxsize=None)
+def _hapq_tables(phase_bits, group_size, level_exponent, n_antennas):
+    level_set = build_level_set(n_antennas, group_size, level_exponent)
+    phasors = sector_phasor(np.arange(1 << phase_bits), phase_bits)
+    # entry [l-1, k] is levels[l-1] * phasor[k], the elementwise product
+    gain_phasor = level_set.levels[:, None] * phasors[None, :]
+    gain_phasor.flags.writeable = False
+    return level_set, gain_phasor
+
+
+def candidate_relay_symbols(spec, basis):
+    """Relay symbols of one method from a basis: the kernel of every kind."""
+    n_antennas = basis.values.shape[-1]
+    if spec.kind == UPQ:
+        indices = basis.phase_indices(spec.total_bits)
+        return upq_symbols_from_indices(indices, spec.total_bits, n_antennas)
+    if spec.kind == UAPQ:
+        bins = uapq_amplitude_bins(basis.amps, basis.norms(), spec.amplitude_bits)
+        indices = basis.phase_indices(spec.phase_bits)
+        return uapq_symbols_from_parts(indices, bins, spec.total_bits, spec.phase_bits)
+    if spec.kind == HAPQ:
+        level_set, gain_phasor = _hapq_tables(
+            spec.phase_bits, spec.group_size, spec.level_exponent, n_antennas
+        )
+        return gain_phasor.take(basis.level_phase_offsets(level_set, spec.phase_bits))
+    return basis.values / basis.norms()[..., None]
+
+
+# ---------------------------------------------------------------------------
+# Relay processing entry points
+# ---------------------------------------------------------------------------
+
+def _checked_received(received, spec):
+    """The entry check: a complex array that fits ``spec``, every entry finite."""
+    y = np.asarray(received, dtype=complex)
+    spec.validate_for(y.shape[-1])
+    if not np.isfinite(y).all():
+        raise ValueError("received vector must be finite")
+    return y
+
+
+def relay_symbols(received, spec):
+    """Relay processing of ``spec`` (no state capture).
+
+    Accepts batched input with antennas on the last axis.
+    """
+    return candidate_relay_symbols(spec, CandidateBasis(_checked_received(received, spec)))
+
+
+def upq_relay_symbols(received, bits):
+    """U-PQ relay output: quantized phases on the unit-power sphere."""
+    return relay_symbols(received, QuantizerSpec(UPQ, total_bits=bits))
+
+
+def uapq_relay_symbols(received, total_bits, phase_bits):
+    """U-APQ relay output: quantized phases and renormalized binned amplitudes.
+
+    Every amplitude must be nonzero.  Over its vector's norm it lies in
+    (0, 1], which the bins over [0, 1) cover with 1 clamped into the top
+    bin; a zero entry raises "normalized amplitudes must lie in (0, 1]",
+    and an all-zero vector "received vector has zero norm".
+    """
+    spec = QuantizerSpec(UAPQ, total_bits=total_bits, phase_bits=phase_bits)
+    return relay_symbols(received, spec)
 
 
 def hapq_relay_symbols(received, phase_bits, group_size, level_exponent=2):
-    """H-APQ relay output together with its storable state."""
-    if np.ndim(received) != 1:
-        raise ValueError("hapq_relay_symbols expects a single received vector")
+    """H-APQ relay output for one received vector, with its storable state."""
     spec = QuantizerSpec(
         HAPQ,
         phase_bits=phase_bits,
@@ -489,21 +591,9 @@ def hapq_relay_symbols(received, phase_bits, group_size, level_exponent=2):
     return relay_symbols_from_state(state), state
 
 
-# ---------------------------------------------------------------------------
-# AF baseline
-# ---------------------------------------------------------------------------
-
-def af_symbols_from_norms(received, norms):
-    """AF symbols from received vectors and their norms ``_vector_norm(|y|)``."""
-    if np.any(norms == 0.0):
-        raise ValueError("received vector has zero norm")
-    return received / norms[..., None]
-
-
 def af_relay_symbols(received):
     """Amplify-forward baseline: scale the received vector to unit power."""
-    y = np.asarray(received, dtype=complex)
-    return af_symbols_from_norms(y, _vector_norm(np.abs(y)))
+    return relay_symbols(received, QuantizerSpec(AF))
 
 
 # ---------------------------------------------------------------------------
@@ -560,33 +650,21 @@ class RelayState:
 
 
 def relay_state(received, spec):
-    """Quantize a received vector and capture the storable state."""
-    y = np.asarray(received, dtype=complex)
-    if y.ndim != 1:
+    """Quantize one received vector and capture the storable state."""
+    if spec.kind == AF:
+        raise ValueError("AF keeps the continuous signal; it has no relay state")
+    if np.ndim(received) != 1:
         raise ValueError("relay_state expects a single received vector")
-    spec.validate_for(y.shape[-1])
+    basis = CandidateBasis(_checked_received(received, spec))
     if spec.kind == UPQ:
-        indices = phase_index(np.angle(y), spec.total_bits)
-        return RelayState(spec=spec, phase_indices=tuple(int(k) for k in indices))
+        return RelayState(spec, tuple(basis.phase_indices(spec.total_bits).tolist()))
+    indices = tuple(basis.phase_indices(spec.phase_bits).tolist())
     if spec.kind == UAPQ:
-        indices, bins = uapq_parts_from_polar(
-            np.angle(y), np.abs(y), spec.total_bits, spec.phase_bits
-        )
-        return RelayState(
-            spec=spec,
-            phase_indices=tuple(int(k) for k in indices),
-            amplitude_bins=tuple(int(b) for b in bins),
-        )
-    if spec.kind == HAPQ:
-        level_set = build_level_set(y.shape[-1], spec.group_size, spec.level_exponent)
-        indices = phase_index(np.angle(y), spec.phase_bits)
-        _, assignment = ordered_amplitude_quantize(np.abs(y), level_set)
-        return RelayState(
-            spec=spec,
-            phase_indices=tuple(int(k) for k in indices),
-            amplitude_assignment=tuple(int(a) for a in assignment),
-        )
-    raise ValueError("AF keeps the continuous signal; it has no relay state")
+        bins = uapq_amplitude_bins(basis.amps, basis.norms(), spec.amplitude_bits)
+        return RelayState(spec, indices, amplitude_bins=tuple(bins.tolist()))
+    level_set = build_level_set(len(indices), spec.group_size, spec.level_exponent)
+    levels = oaq_levels_for_ranks(basis.ranks(), spec.group_size, level_set.num_levels)
+    return RelayState(spec, indices, amplitude_assignment=tuple(levels.tolist()))
 
 
 def relay_symbols_from_state(state):
@@ -598,29 +676,10 @@ def relay_symbols_from_state(state):
     if spec.kind == UAPQ:
         bins = np.asarray(state.amplitude_bins, dtype=np.int64)
         return uapq_symbols_from_parts(indices, bins, spec.total_bits, spec.phase_bits)
-    level_set = build_level_set(state.n_antennas, spec.group_size, spec.level_exponent)
-    assignment = np.asarray(state.amplitude_assignment, dtype=np.int64)
-    return level_set.levels[assignment - 1] * sector_phasor(indices, spec.phase_bits)
-
-
-def relay_symbols(received, spec):
-    """Dispatch to the relay processing of ``spec`` (no state capture).
-
-    Accepts batched input with antennas on the last axis.
-    """
-    y = np.asarray(received, dtype=complex)
-    spec.validate_for(y.shape[-1])
-    if spec.kind == UPQ:
-        return upq_relay_symbols(y, spec.total_bits)
-    if spec.kind == UAPQ:
-        return uapq_relay_symbols(y, spec.total_bits, spec.phase_bits)
-    if spec.kind == HAPQ:
-        level_set = build_level_set(y.shape[-1], spec.group_size, spec.level_exponent)
-        symbols, _, _ = hapq_symbols_from_polar(
-            np.angle(y), np.abs(y), spec.phase_bits, level_set
-        )
-        return symbols
-    return af_relay_symbols(y)
+    _, gain_phasor = _hapq_tables(
+        spec.phase_bits, spec.group_size, spec.level_exponent, state.n_antennas
+    )
+    return gain_phasor[np.asarray(state.amplitude_assignment, dtype=np.int64) - 1, indices]
 
 
 # ---------------------------------------------------------------------------

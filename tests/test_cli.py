@@ -61,6 +61,19 @@ def test_quantize_numeric_error_exit_code(capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_quantize_rejects_non_finite_input(capsys):
+    for spec in ("AF", "UPQ:q=8", "HAPQ:qbar=2,m=1"):
+        assert main(["quantize", "--spec", spec, "--input", "nan,1"]) == 2
+        captured = capsys.readouterr()
+        assert "numeric error: received vector must be finite" in captured.err
+        assert captured.out == ""
+
+
+def test_quantize_rejects_a_zero_uapq_amplitude(capsys):
+    assert main(["quantize", "--spec", "UAPQ:q=8,qbar=4", "--input", "1+0j,0+0j"]) == 2
+    assert "numeric error: normalized amplitudes must lie in (0, 1]" in capsys.readouterr().err
+
+
 def test_quantize_rejects_more_antennas_than_the_container_holds(capsys):
     # the state and symbols exist; the debug container's N_R byte cannot hold 256
     received = ",".join(["1+1j"] * 256)

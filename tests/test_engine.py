@@ -1,7 +1,10 @@
 """The batched engine must reproduce the single-trial reference bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
+from test_kernel_oracles import _same_bits, _uapq_reference
 
 from qfrelay import engine
 from qfrelay.channel import (
@@ -19,11 +22,11 @@ from qfrelay.link import PointConfig, run_trial
 from qfrelay.quantizers import (
     AF,
     HAPQ,
+    TWO_PI,
     UAPQ,
     UPQ,
     QuantizerSpec,
     build_level_set,
-    hapq_symbols_from_polar,
     relay_symbols,
 )
 
@@ -37,17 +40,90 @@ SPECS = (
 )
 
 
-def test_candidate_symbols_match_public_quantizers():
-    # the engine's shared-basis fast path must agree bitwise with the
-    # per-vector public operations, ties and boundary bins included
+def _relay_batch():
+    """Random 4-antenna inputs with forced amplitude-tie and sector-boundary rows."""
     rng = trial_stream(0, 0, 0)
     y = rng.standard_normal((40, 16, 4)) + 1j * rng.standard_normal((40, 16, 4))
     y[0, 0] = np.array([1.0, 1.0, 1.0, 1.0])  # forced amplitude ties
     y[0, 1] = np.array([1j, 1.0, -1j, -1.0])
+    y[0, 2] = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])  # 2-bit sector boundaries
+    return y
+
+
+def test_candidate_symbols_match_public_quantizers():
+    # the engine's shared-basis fast path must agree bitwise with the
+    # per-vector public operations, ties and boundary bins included
+    y = _relay_batch()
     basis = CandidateBasis(y)
     for spec in SPECS:
         fast = candidate_relay_symbols(spec, basis)
         assert np.array_equal(fast, relay_symbols(y, spec)), spec.label()
+
+
+# ---------------------------------------------------------------------------
+# Formula oracles: run_trial and the engine share one quantizer, so these
+# check it against the textbook expressions, written here without the
+# package's kernels.  Comparisons are on raw bytes.
+# ---------------------------------------------------------------------------
+
+def _phase_oracle(y, bits):
+    """Sector index ceil(theta * 2**bits / (2*pi) - 0.5) mod 2**bits."""
+    theta = np.mod(np.angle(y), TWO_PI)
+    theta[theta == TWO_PI] = 0.0
+    return np.ceil(theta * (1 << bits) / TWO_PI - 0.5).astype(np.int64) % (1 << bits)
+
+
+def _phasor_oracle(index, bits):
+    return np.exp(1j * (TWO_PI * index / (1 << bits)))
+
+
+def _norm_oracle(amps):
+    return np.sqrt(np.einsum("...i,...i->...", amps, amps))
+
+
+def _upq_oracle(y, spec):
+    # e^{j 2 pi k / 2**q} / sqrt(N_R); N_R = 4 keeps the division exact
+    index = _phase_oracle(y, spec.total_bits)
+    return _phasor_oracle(index, spec.total_bits) / math.sqrt(y.shape[-1])
+
+
+def _uapq_oracle(y, spec):
+    amps = np.abs(y)
+    ratios = np.minimum(amps / _norm_oracle(amps)[..., None], 1.0)
+    top = (1 << spec.amplitude_bits) - 1
+    bins = np.minimum(np.floor(ratios * (top + 1)).astype(np.int64), top)
+    index = _phase_oracle(y, spec.phase_bits)
+    return _uapq_reference(index, bins, spec.total_bits, spec.phase_bits)
+
+
+def _hapq_oracle(y, spec):
+    # levels from stable-argsort ranks, group_size antennas per level
+    level_set = build_level_set(y.shape[-1], spec.group_size, spec.level_exponent)
+    order = np.argsort(np.abs(y), axis=-1, kind="stable")
+    ranks = np.argsort(order, axis=-1, kind="stable")
+    level = np.minimum(ranks // spec.group_size, level_set.num_levels - 1)
+    index = _phase_oracle(y, spec.phase_bits)
+    return level_set.levels[level] * _phasor_oracle(index, spec.phase_bits)
+
+
+def _af_oracle(y, spec):
+    return y / _norm_oracle(np.abs(y))[..., None]
+
+
+ORACLES = {UPQ: _upq_oracle, UAPQ: _uapq_oracle, HAPQ: _hapq_oracle, AF: _af_oracle}
+# SPECS plus the low-bit specs whose sector boundaries the forced rows hit
+ORACLE_SPECS = SPECS + (
+    QuantizerSpec(UPQ, total_bits=1),
+    QuantizerSpec(UPQ, total_bits=2),
+    QuantizerSpec(UAPQ, total_bits=3, phase_bits=2),
+    QuantizerSpec(HAPQ, phase_bits=2, group_size=2, level_exponent=1),
+)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=[spec.label() for spec in ORACLE_SPECS])
+def test_relay_symbols_match_formula_oracles(spec):
+    y = _relay_batch()
+    assert _same_bits(relay_symbols(y, spec), ORACLES[spec.kind](y, spec))
 
 
 def test_hapq_gain_phasor_table_matches_formula():
@@ -56,9 +132,7 @@ def test_hapq_gain_phasor_table_matches_formula():
     basis = CandidateBasis(y)
     spec = QuantizerSpec(HAPQ, phase_bits=3, group_size=2)
     fast = candidate_relay_symbols(spec, basis)
-    level_set = build_level_set(4, 2, 2)
-    direct, _, _ = hapq_symbols_from_polar(np.angle(y), np.abs(y), 3, level_set)
-    assert np.array_equal(fast, direct)
+    assert _same_bits(fast, _hapq_oracle(y, spec))
 
 
 @pytest.mark.parametrize("detector,samples", [("mismatched", 0), ("marginalized", 8)])

@@ -436,6 +436,69 @@ def test_nan_amplitudes_never_reach_the_rank_kernel(n):
         relay_symbols(y, spec)
 
 
+# every relay entry point, run on one vector or (batch=True) on a relay batch
+_ENTRIES = {
+    "relay_symbols-AF": (lambda y: relay_symbols(y, QuantizerSpec(AF)), True),
+    "relay_symbols-UPQ": (lambda y: relay_symbols(y, spec_upq()), True),
+    "relay_symbols-UAPQ": (lambda y: relay_symbols(y, spec_uapq()), True),
+    "relay_symbols-HAPQ": (lambda y: relay_symbols(y, spec_hapq()), True),
+    "relay_state-UPQ": (lambda y: relay_state(y, spec_upq()), False),
+    "relay_state-UAPQ": (lambda y: relay_state(y, spec_uapq()), False),
+    "relay_state-HAPQ": (lambda y: relay_state(y, spec_hapq()), False),
+    "upq_relay_symbols": (lambda y: upq_relay_symbols(y, 8), True),
+    "uapq_relay_symbols": (lambda y: uapq_relay_symbols(y, 8, 4), True),
+    "hapq_relay_symbols": (lambda y: hapq_relay_symbols(y, 4, 2), False),
+    "af_relay_symbols": (af_relay_symbols, True),
+}
+_NON_FINITE = {
+    "nan": np.nan,
+    "inf": np.inf,
+    "-inf": -np.inf,
+    "nan+0j": complex(np.nan, 0),
+    "0+infj": complex(0, np.inf),
+}
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE.values(), ids=list(_NON_FINITE))
+@pytest.mark.parametrize("entry", _ENTRIES.values(), ids=list(_ENTRIES))
+def test_non_finite_input_is_rejected_at_the_entry(entry, bad):
+    quantize, batched = entry
+    good = np.array([0.3 + 0.1j, 1.0, -0.5j, 0.7 - 0.2j])
+    y = good.copy()
+    y[1] = bad
+    with pytest.raises(ValueError, match="^received vector must be finite$"):
+        quantize(y)
+    if batched:
+        with pytest.raises(ValueError, match="^received vector must be finite$"):
+            quantize(np.stack([good, good, y]))
+    quantize(good)
+
+
+def test_wrapper_bit_budgets_take_the_spec_bounds():
+    # a 2**17-entry table and an overflowing shift are refused, not built
+    y = np.array([1 + 1j, 2 - 1j])
+    for bits in (17, 64):
+        with pytest.raises(ValueError, match=f"^q must be at most 16, got {bits}$"):
+            upq_relay_symbols(y, bits)
+    for total_bits, phase_bits in ((40, 20), (17, 4)):
+        with pytest.raises(ValueError, match="must be at most 16"):
+            uapq_relay_symbols(y, total_bits, phase_bits)
+    assert upq_relay_symbols(y, 16).shape == (2,)
+    assert uapq_relay_symbols(y, 16, 15).shape == (2,)
+
+
+def test_uapq_rejects_a_zero_amplitude():
+    # a zero entry normalizes to 0, outside the (0, 1] the bins cover
+    y = np.array([1 + 0j, 0j])
+    message = r"^normalized amplitudes must lie in \(0, 1\]$"
+    with pytest.raises(ValueError, match=message):
+        relay_symbols(y, spec_uapq())
+    with pytest.raises(ValueError, match=message):
+        relay_state(y, spec_uapq())
+    with pytest.raises(ValueError, match=message):
+        uapq_relay_symbols(np.stack([np.ones(2), y]), 8, 4)
+
+
 # ---------------------------------------------------------------------------
 # H-APQ
 # ---------------------------------------------------------------------------
