@@ -454,9 +454,10 @@ class CandidateBasis:
 
     ``values`` holds complex relay inputs, antennas on the last axis: a
     single received vector, a relay batch of them, or the engine's
-    candidate stacks.  The phase indices, amplitude sort ranks, vector
-    norms and H-APQ table offsets are shared by every quantizer evaluated
-    on the same inputs, so they are computed once per basis.  The inputs
+    candidate stacks.  The angles, amplitudes, phase indices, amplitude
+    sort ranks, vector norms and H-APQ table offsets are shared by every
+    quantizer evaluated on the same inputs, so each is computed once per
+    basis, on first use: a kind computes only what it reads.  The inputs
     are finite: they passed the entry check of ``relay_symbols`` or
     ``relay_state``, or are products of finite draws.
 
@@ -466,32 +467,42 @@ class CandidateBasis:
     hand it back to the OS, and every spec would page-fault it in again.
     """
 
-    __slots__ = ("values", "theta", "amps", "_phase", "_ranks", "_norms", "_flat", "held")
+    __slots__ = ("values", "_theta", "_amps", "_phase", "_ranks", "_norms", "_flat", "held")
 
     def __init__(self, values):
         self.values = values
-        self.theta = np.angle(values)
-        self.amps = np.abs(values)
+        self._theta = None
+        self._amps = None
         self._phase = {}
         self._ranks = None
         self._norms = None
         self._flat = {}
         self.held = None
 
+    def theta(self):
+        if self._theta is None:
+            self._theta = np.angle(self.values)
+        return self._theta
+
     def phase_indices(self, bits):
         if bits not in self._phase:
-            self._phase[bits] = phase_index(self.theta, bits)
+            self._phase[bits] = phase_index(self.theta(), bits)
         return self._phase[bits]
+
+    def amps(self):
+        if self._amps is None:
+            self._amps = np.abs(self.values)
+        return self._amps
 
     def ranks(self):
         if self._ranks is None:
-            self._ranks = oaq_sort_ranks(self.amps)
+            self._ranks = oaq_sort_ranks(self.amps())
         return self._ranks
 
     def norms(self):
         """Vector norms of the amplitudes; U-APQ and AF cannot scale a zero one."""
         if self._norms is None:
-            norms = _vector_norm(self.amps)
+            norms = _vector_norm(self.amps())
             if np.any(norms == 0.0):
                 raise ValueError("received vector has zero norm")
             self._norms = norms
@@ -530,7 +541,7 @@ def candidate_relay_symbols(spec, basis):
         indices = basis.phase_indices(spec.total_bits)
         return upq_symbols_from_indices(indices, spec.total_bits, n_antennas)
     if spec.kind == UAPQ:
-        bins = uapq_amplitude_bins(basis.amps, basis.norms(), spec.amplitude_bits)
+        bins = uapq_amplitude_bins(basis.amps(), basis.norms(), spec.amplitude_bits)
         indices = basis.phase_indices(spec.phase_bits)
         return uapq_symbols_from_parts(indices, bins, spec.total_bits, spec.phase_bits)
     if spec.kind == HAPQ:
@@ -660,7 +671,7 @@ def relay_state(received, spec):
         return RelayState(spec, tuple(basis.phase_indices(spec.total_bits).tolist()))
     indices = tuple(basis.phase_indices(spec.phase_bits).tolist())
     if spec.kind == UAPQ:
-        bins = uapq_amplitude_bins(basis.amps, basis.norms(), spec.amplitude_bits)
+        bins = uapq_amplitude_bins(basis.amps(), basis.norms(), spec.amplitude_bits)
         return RelayState(spec, indices, amplitude_bins=tuple(bins.tolist()))
     level_set = build_level_set(len(indices), spec.group_size, spec.level_exponent)
     levels = oaq_levels_for_ranks(basis.ranks(), spec.group_size, level_set.num_levels)
@@ -676,10 +687,9 @@ def relay_symbols_from_state(state):
     if spec.kind == UAPQ:
         bins = np.asarray(state.amplitude_bins, dtype=np.int64)
         return uapq_symbols_from_parts(indices, bins, spec.total_bits, spec.phase_bits)
-    _, gain_phasor = _hapq_tables(
-        spec.phase_bits, spec.group_size, spec.level_exponent, state.n_antennas
-    )
-    return gain_phasor[np.asarray(state.amplitude_assignment, dtype=np.int64) - 1, indices]
+    level_set = build_level_set(state.n_antennas, spec.group_size, spec.level_exponent)
+    assignment = np.asarray(state.amplitude_assignment, dtype=np.int64)
+    return level_set.levels[assignment - 1] * sector_phasor(indices, spec.phase_bits)
 
 
 # ---------------------------------------------------------------------------

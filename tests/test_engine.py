@@ -51,8 +51,8 @@ def _relay_batch():
 
 
 def test_candidate_symbols_match_public_quantizers():
-    # the engine's shared-basis fast path must agree bitwise with the
-    # per-vector public operations, ties and boundary bins included
+    # one basis memoized across every spec, as the engine reuses it, must give
+    # the same bytes as a fresh basis per spec, ties and boundary bins included
     y = _relay_batch()
     basis = CandidateBasis(y)
     for spec in SPECS:

@@ -565,6 +565,28 @@ def test_state_reconstruction_is_bitwise():
             assert np.array_equal(relay_symbols_from_state(state), direct)
 
 
+def test_hapq_decode_builds_no_gain_phasor_table():
+    # a decoded state's spec and N_R come from outside the program (container
+    # headers), so decoding must not grow the candidate kernel's table cache
+    from qfrelay.bitcodec import (
+        decode_relay_state,
+        encode_relay_state,
+        pack_container,
+        unpack_container,
+    )
+    from qfrelay.quantizers import _hapq_tables
+
+    spec = spec_hapq(qbar=16, m=1)
+    y = np.array([1 + 2j, -0.5j, 3.0, -1 - 1j])
+    _hapq_tables.cache_clear()
+    data = pack_container(encode_relay_state(relay_state(y, spec)))
+    decoded = relay_symbols_from_state(decode_relay_state(unpack_container(data)))
+    wrapped, _ = hapq_relay_symbols(y, 16, 1)
+    assert _hapq_tables.cache_info().currsize == 0
+    assert np.array_equal(decoded, relay_symbols(y, spec))
+    assert np.array_equal(wrapped, decoded)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         relay_state(np.ones(4, dtype=complex), QuantizerSpec(AF))
