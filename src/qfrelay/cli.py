@@ -97,8 +97,6 @@ def _parse_complex_vector(text):
         values = [complex(item.strip().replace(" ", "")) for item in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"could not parse complex input: {exc}") from exc
-    if not values:
-        raise UsageError("input vector is empty")
     return np.asarray(values, dtype=complex)
 
 

@@ -19,9 +19,13 @@ Example::
     qbar = 4
     m = 2
 
-Unknown keys are rejected so typos fail loudly.  ``detector`` (mismatched),
-``marginal_samples`` (64) and ``workers`` (available cores) are optional;
-a sweep starts at most min(workers, tasks, cores) worker processes.
+Unknown and repeated keys are rejected so typos fail loudly.  A top-level
+key is required when its ``SweepConfig`` field has no default: n_s, n_r,
+n_d, M, snr_db_grid, trials_per_point and seed.  A missing optional key
+takes ``SweepConfig``'s default (``detector`` mismatched,
+``marginal_samples`` 64), except ``workers``, which defaults to the
+available cores; a sweep starts at most min(workers, tasks, cores) worker
+processes.
 The detectors score every candidate message, so the candidate count
 C = M**n_s may be at most ``MAX_CANDIDATES`` (2**16).  Every snr_db_grid
 point must lie within +-``channel.MAX_SNR_DB`` (1000 dB), and q and qbar
@@ -30,8 +34,8 @@ may be at most ``quantizers.MAX_BITS`` (16).
 
 from __future__ import annotations
 
+import dataclasses
 import os
-from dataclasses import dataclass
 
 from .channel import snr_db_to_sigma2
 from .codebook import SUPPORTED_ALPHABETS
@@ -51,10 +55,6 @@ class ConfigValidationError(ConfigError):
     """The file parsed but a field is missing, unknown or out of range."""
 
 
-_TOP_KEYS = (
-    "n_s", "n_r", "n_d", "M", "snr_db_grid", "trials_per_point",
-    "seed", "detector", "marginal_samples", "workers",
-)
 _SPEC_KEYS = ("kind", *PARAM_KEYS.values())
 # largest candidate count C = M**n_s a sweep may enumerate.  A batch holds
 # at least one trial, and the detectors score all of a trial's candidates
@@ -64,10 +64,8 @@ _SPEC_KEYS = ("kind", *PARAM_KEYS.values())
 # mismatched detector, 4 MiB of relay inputs
 MAX_CANDIDATES = 1 << 16
 
-_REQUIRED_TOP = ("n_s", "n_r", "n_d", "M", "snr_db_grid", "trials_per_point", "seed")
 
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepConfig:
     """Validated description of one BER sweep."""
 
@@ -84,7 +82,10 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("n_source", "n_relay", "n_dest"):
+        for name in (
+            "n_source", "n_relay", "n_dest", "trials_per_point", "marginal_samples",
+            "workers",
+        ):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ConfigValidationError(f"{name} must be a positive integer")
@@ -114,16 +115,10 @@ class SweepConfig:
                 snr_db_to_sigma2(snr_db)
             except ValueError as exc:
                 raise ConfigValidationError(str(exc)) from exc
-        if not isinstance(self.trials_per_point, int) or self.trials_per_point < 1:
-            raise ConfigValidationError("trials_per_point must be a positive integer")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigValidationError("seed must be a non-negative integer")
         if self.detector not in DETECTORS:
             raise ConfigValidationError(f"detector must be one of {DETECTORS}")
-        if not isinstance(self.marginal_samples, int) or self.marginal_samples < 1:
-            raise ConfigValidationError("marginal_samples must be a positive integer")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ConfigValidationError("workers must be a positive integer")
 
 
 def _parse_int(key, raw):
@@ -133,11 +128,42 @@ def _parse_int(key, raw):
         raise ConfigValidationError(f"{key} must be an integer, got {raw!r}") from exc
 
 
-def spec_from_fields(fields):
-    """Build a QuantizerSpec from config fields named kind/q/qbar/m/family_n."""
-    unknown = set(fields) - set(_SPEC_KEYS)
-    if unknown:
-        raise ConfigValidationError(f"unknown spec key {sorted(unknown)[0]!r}")
+def _parse_grid(key, raw):
+    try:
+        return tuple(float(v) for v in raw.replace(",", " ").split())
+    except ValueError as exc:
+        raise ConfigValidationError(f"{key} must be a list of numbers, got {raw!r}") from exc
+
+
+# config key -> (SweepConfig field, parser of its value text), one entry per
+# field but specs, which the [spec] blocks give
+_TOP_FIELDS = {
+    "n_s": ("n_source", _parse_int),
+    "n_r": ("n_relay", _parse_int),
+    "n_d": ("n_dest", _parse_int),
+    "M": ("alphabet", _parse_int),
+    "snr_db_grid": ("snr_db_grid", _parse_grid),
+    "trials_per_point": ("trials_per_point", _parse_int),
+    "seed": ("seed", _parse_int),
+    "detector": ("detector", lambda key, raw: raw),
+    "marginal_samples": ("marginal_samples", _parse_int),
+    "workers": ("workers", _parse_int),
+}
+
+
+def _insert(fields, key, value, known, noun, duplicate_noun=None):
+    """Set ``fields[key] = value``; a key not in ``known``, or one already
+    set, is rejected with ``noun`` (or ``duplicate_noun``) naming it."""
+    if key not in known:
+        raise ConfigValidationError(f"unknown {noun} {key!r}")
+    if key in fields:
+        raise ConfigValidationError(f"duplicate {duplicate_noun or noun} {key!r}")
+    fields[key] = value
+
+
+def _spec_from_fields(fields):
+    """Build a QuantizerSpec from fields that ``_insert`` checked against
+    ``_SPEC_KEYS``."""
     kind = fields.get("kind")
     if kind is None:
         raise ConfigValidationError("spec block is missing 'kind'")
@@ -170,16 +196,14 @@ def parse_spec_string(text):
             key = key.strip()
             if key == "n":
                 key = "family_n"
-            if key in fields:
-                raise ConfigValidationError(f"duplicate spec parameter {key!r}")
-            fields[key] = value.strip()
-    return spec_from_fields(fields)
+            _insert(fields, key, value.strip(), _SPEC_KEYS, "spec key", "spec parameter")
+    return _spec_from_fields(fields)
 
 
 def _parse_lines(text):
     top = {}
     spec_blocks = []
-    current = None  # None while in the top section
+    current, known, noun = top, _TOP_FIELDS, "key"
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -187,56 +211,26 @@ def _parse_lines(text):
         if line.startswith("["):
             if line != "[spec]":
                 raise ConfigParseError(f"line {lineno}: unknown section {line!r}")
-            current = {}
+            current, known, noun = {}, _SPEC_KEYS, "spec key"
             spec_blocks.append(current)
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigParseError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
-        key = key.strip()
-        value = value.strip()
-        if current is None:
-            if key not in _TOP_KEYS:
-                raise ConfigValidationError(f"unknown key {key!r}")
-            if key in top:
-                raise ConfigValidationError(f"duplicate key {key!r}")
-            top[key] = value
-        else:
-            if key not in _SPEC_KEYS:
-                raise ConfigValidationError(f"unknown spec key {key!r}")
-            if key in current:
-                raise ConfigValidationError(f"duplicate spec key {key!r}")
-            current[key] = value
+        _insert(current, key.strip(), value.strip(), known, noun)
     return top, spec_blocks
 
 
 def parse_config(path):
     """Load and validate a sweep configuration file."""
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    top, spec_blocks = _parse_lines(text)
-    for key in _REQUIRED_TOP:
-        if key not in top:
+        top, spec_blocks = _parse_lines(handle.read())
+    defaults = {field.name: field.default for field in dataclasses.fields(SweepConfig)}
+    values = {"workers": os.cpu_count() or 1}  # a file's default is the core count
+    for key, (name, parse) in _TOP_FIELDS.items():
+        if key in top:
+            values[name] = parse(key, top[key])
+        elif defaults[name] is dataclasses.MISSING:
             raise ConfigValidationError(f"missing required key {key!r}")
-    try:
-        grid = tuple(float(v) for v in top["snr_db_grid"].replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigValidationError(
-            f"snr_db_grid must be a list of numbers, got {top['snr_db_grid']!r}"
-        ) from exc
-    specs = tuple(spec_from_fields(block) for block in spec_blocks)
-    return SweepConfig(
-        n_source=_parse_int("n_s", top["n_s"]),
-        n_relay=_parse_int("n_r", top["n_r"]),
-        n_dest=_parse_int("n_d", top["n_d"]),
-        alphabet=_parse_int("M", top["M"]),
-        specs=specs,
-        snr_db_grid=grid,
-        trials_per_point=_parse_int("trials_per_point", top["trials_per_point"]),
-        seed=_parse_int("seed", top["seed"]),
-        detector=top.get("detector", "mismatched"),
-        marginal_samples=_parse_int(
-            "marginal_samples", top.get("marginal_samples", "64")
-        ),
-        workers=_parse_int("workers", top.get("workers", str(os.cpu_count() or 1))),
-    )
+    specs = tuple(_spec_from_fields(block) for block in spec_blocks)
+    return SweepConfig(specs=specs, **values)

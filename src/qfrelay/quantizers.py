@@ -22,6 +22,7 @@ public helpers ``wrap_phase``, ``amplitude_bin`` and
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -611,6 +612,23 @@ def af_relay_symbols(received):
 # Relay state capture and reconstruction
 # ---------------------------------------------------------------------------
 
+def _check_indices(entries, bits, name):
+    """Check that a state field's entries lie in [0, 2**bits).
+
+    One ``array`` pass raises ``TypeError`` for an entry ``operator.index``
+    refuses (a float such as 1.5 or 1.0) and ``OverflowError`` for a
+    negative or huge one, which becomes ``ValueError("<name> out of
+    range")`` as a too-large entry does.  ``iter`` makes ``array`` read a
+    bytes object as its byte values, not as machine words.
+    """
+    try:
+        if max(array("L", iter(entries))) < 1 << bits:
+            return
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} out of range")
+
+
 @dataclass(frozen=True)
 class RelayState:
     """Stored quantization result: everything the relay keeps in memory.
@@ -618,7 +636,8 @@ class RelayState:
     ``phase_indices`` always holds one sector index per antenna.  H-APQ
     states carry ``amplitude_assignment`` (1-based level index per
     antenna), U-APQ states carry ``amplitude_bins`` (uniform bin index per
-    antenna), and U-PQ states carry neither.
+    antenna), and U-PQ states carry neither.  Every entry is an integer: a
+    float, even 1.0, is a ``TypeError``.
     """
 
     spec: QuantizerSpec
@@ -635,8 +654,7 @@ class RelayState:
             raise ValueError("relay state needs at least one antenna")
         spec.validate_for(n)
         pbits = spec.total_bits if spec.kind == UPQ else spec.phase_bits
-        if min(self.phase_indices) < 0 or max(self.phase_indices) >= 1 << pbits:
-            raise ValueError("phase index out of range")
+        _check_indices(self.phase_indices, pbits, "phase index")
         if spec.kind == UPQ:
             if self.amplitude_assignment or self.amplitude_bins:
                 raise ValueError("U-PQ state carries no amplitude information")
@@ -645,9 +663,7 @@ class RelayState:
                 raise ValueError("U-APQ state uses amplitude_bins, not an assignment")
             if len(self.amplitude_bins) != n:
                 raise ValueError("need one amplitude bin per antenna")
-            bins = self.amplitude_bins
-            if min(bins) < 0 or max(bins) >= 1 << spec.amplitude_bits:
-                raise ValueError("amplitude bin out of range")
+            _check_indices(self.amplitude_bins, spec.amplitude_bits, "amplitude bin")
         else:  # HAPQ
             if self.amplitude_bins:
                 raise ValueError("H-APQ state uses an assignment, not amplitude bins")

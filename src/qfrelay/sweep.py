@@ -17,12 +17,13 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import engine
+from .codebook import build_codebook
 from .quantizers import AF, METHOD_LABELS, PARAM_KEYS, quantizer_bits
 
+# each column is the BerRecord attribute of its name, M being ``alphabet``
 CSV_COLUMNS = (
-    "method", "q", "qbar", "m", "family_n", "n_s", "n_r", "n_d", "M",
-    "snr_db", "trials", "bit_errors", "total_bits", "ber", "n_b", "seed",
-    "stderr",
+    "method", *PARAM_KEYS.values(), "n_s", "n_r", "n_d", "M", "snr_db", "trials",
+    "bit_errors", "total_bits", "ber", "n_b", "seed", "stderr",
 )
 
 
@@ -58,13 +59,8 @@ class BerRecord:
 
     def row(self):
         return [
-            _cell(value)
-            for value in (
-                self.method, self.q, self.qbar, self.m, self.family_n, self.n_s,
-                self.n_r, self.n_d, self.alphabet, float(self.snr_db), self.trials,
-                self.bit_errors, self.total_bits, self.ber, self.n_b, self.seed,
-                self.stderr,
-            )
+            _cell(getattr(self, "alphabet" if column == "M" else column))
+            for column in CSV_COLUMNS
         ]
 
 
@@ -126,7 +122,7 @@ def _spec_fields(spec):
 def run_ber_sweep(cfg):
     """Run the configured sweep; one record per (spec, SNR) in that order."""
     counts = sweep_error_counts(cfg)
-    bits_per_trial = cfg.n_source * (cfg.alphabet.bit_length() - 1)
+    bits_per_trial = build_codebook(cfg.alphabet, cfg.n_source).bits_per_message
     records = []
     for spec_index, spec in enumerate(cfg.specs):
         n_b = None if spec.kind == AF else quantizer_bits(spec, cfg.n_relay)
@@ -137,7 +133,7 @@ def run_ber_sweep(cfg):
                     n_r=cfg.n_relay,
                     n_d=cfg.n_dest,
                     alphabet=cfg.alphabet,
-                    snr_db=snr_db,
+                    snr_db=float(snr_db),
                     trials=cfg.trials_per_point,
                     bit_errors=int(counts[spec_index, snr_index]),
                     total_bits=cfg.trials_per_point * bits_per_trial,

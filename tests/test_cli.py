@@ -162,5 +162,7 @@ def test_usage_error_exit_code():
     assert main([]) == 1
 
 
-def test_malformed_input_vector():
-    assert main(["quantize", "--spec", "AF", "--input", "not-a-number"]) == 1
+def test_malformed_input_vector(capsys):
+    for text in ("not-a-number", ""):
+        assert main(["quantize", "--spec", "AF", "--input", text]) == 1
+        assert "error: could not parse complex input" in capsys.readouterr().err

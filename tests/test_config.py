@@ -1,9 +1,11 @@
 """Config file parsing: defaults, strictness, named validation errors."""
 
+import dataclasses
 import os
 
 import pytest
 
+from qfrelay import config
 from qfrelay.config import (
     MAX_CANDIDATES,
     ConfigParseError,
@@ -54,6 +56,23 @@ def test_minimal_config_with_defaults(tmp_path):
         QuantizerSpec(AF),
         QuantizerSpec(HAPQ, phase_bits=4, group_size=2),
     )
+
+
+def test_top_level_keys_cover_the_config_fields():
+    names = [name for name, _ in config._TOP_FIELDS.values()]
+    assert sorted(names) == sorted(
+        field.name for field in dataclasses.fields(SweepConfig) if field.name != "specs"
+    )
+
+
+@pytest.mark.parametrize(
+    "key", ["n_s", "n_r", "n_d", "M", "snr_db_grid", "trials_per_point", "seed"]
+)
+def test_every_required_key_is_named_when_missing(tmp_path, key):
+    lines = [line for line in MINIMAL.splitlines() if not line.startswith(f"{key} =")]
+    assert len(lines) == len(MINIMAL.splitlines()) - 1
+    with pytest.raises(ConfigValidationError, match=f"^missing required key '{key}'$"):
+        parse_config(_write(tmp_path, "\n".join(lines)))
 
 
 def test_config_spec_kinds(tmp_path):

@@ -594,6 +594,24 @@ def test_state_validation():
 
     with pytest.raises(ValueError):
         RelayState(spec=spec_upq(q=2), phase_indices=(4, 0, 0, 0))  # index too wide
+    for indices in ((-1, 0, 0, 0), (2**70, 0, 0, 0)):
+        with pytest.raises(ValueError, match="^phase index out of range$"):
+            RelayState(spec=spec_upq(q=2), phase_indices=indices)
+    with pytest.raises(ValueError, match="^amplitude bin out of range$"):
+        RelayState(spec=spec_uapq(q=4, qbar=2), phase_indices=(0, 1), amplitude_bins=(-1, 3))
+    # a float index or bin is refused, not truncated on decode
+    for indices in ((1.5, 0.0, 3, 2), (1.0, 0, 3, 2)):
+        with pytest.raises(TypeError):
+            RelayState(spec=spec_upq(q=2), phase_indices=indices)
+    with pytest.raises(TypeError):
+        RelayState(spec=spec_uapq(q=4, qbar=2), phase_indices=(0, 1), amplitude_bins=(0.5, 3.9))
+    with pytest.raises(TypeError):
+        RelayState(spec=spec_uapq(q=4, qbar=2), phase_indices=np.array([0.0, 1.0]),
+                   amplitude_bins=(0, 3))
+    # a bytes object holds its byte values, one entry per antenna
+    assert RelayState(spec=spec_upq(q=2), phase_indices=b"\x00\x03\x01\x02").n_antennas == 4
+    with pytest.raises(ValueError, match="^phase index out of range$"):
+        RelayState(spec=spec_upq(q=2), phase_indices=b"\x00\x04\x01\x02")
     with pytest.raises(ValueError):
         RelayState(
             spec=spec_hapq(m=2),

@@ -66,6 +66,11 @@ def test_csv_layout():
     buffer = io.StringIO()
     write_ber_csv(records, buffer)
     lines = buffer.getvalue().splitlines()
+    # the header as text, so a reordered parameter schema cannot move a column
+    assert lines[0] == (
+        "method,q,qbar,m,family_n,n_s,n_r,n_d,M,snr_db,trials,bit_errors,"
+        "total_bits,ber,n_b,seed,stderr"
+    )
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(records)
     first = lines[1].split(",")
