@@ -26,10 +26,12 @@ takes ``SweepConfig``'s default (``detector`` mismatched,
 ``marginal_samples`` 64), except ``workers``, which defaults to the
 available cores; a sweep starts at most min(workers, tasks, cores) worker
 processes.
-The detectors score every candidate message, so the candidate count
-C = M**n_s may be at most ``MAX_CANDIDATES`` (2**16).  Every snr_db_grid
-point must lie within +-``channel.MAX_SNR_DB`` (1000 dB), and q and qbar
-may be at most ``quantizers.MAX_BITS`` (16).
+The mismatched detector scores every candidate message at once, so the
+candidate count C = M**n_s may be at most ``MAX_CANDIDATES`` (2**16); the
+marginalized detector's block of marginal_samples * min(C, 64) * n_r
+complex entries may take at most ``MAX_MARGINAL_STACK_BYTES`` (256 MiB).
+Every snr_db_grid point must lie within +-``channel.MAX_SNR_DB`` (1000 dB),
+and q and qbar may be at most ``quantizers.MAX_BITS`` (16).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import os
 
 from .channel import snr_db_to_sigma2
 from .codebook import SUPPORTED_ALPHABETS
-from .engine import DETECTORS
+from .engine import DETECTORS, MARGINAL_BLOCK, trial_stack_bytes
 from .quantizers import KINDS, PARAM_KEYS, QuantizerSpec
 
 
@@ -57,12 +59,14 @@ class ConfigValidationError(ConfigError):
 
 _SPEC_KEYS = ("kind", *PARAM_KEYS.values())
 # largest candidate count C = M**n_s a sweep may enumerate.  A batch holds
-# at least one trial, and the detectors score all of a trial's candidates
-# at once, so the cap bounds one trial's candidate stack: C * n_r *
-# max(1, L) * 16 bytes, L being marginal_samples under the marginalized
-# detector and 0 under the mismatched one; at the cap with n_r = 4 and the
-# mismatched detector, 4 MiB of relay inputs
+# at least one trial, and the mismatched detector scores all of a trial's
+# candidates at once, so the cap bounds its one-trial candidate stack,
+# C * n_r * 16 bytes: at the cap with n_r = 4, 4 MiB of relay inputs
 MAX_CANDIDATES = 1 << 16
+# largest one-trial candidate stack of the marginalized detector, which
+# scores blocks of min(C, 64) candidates against L = marginal_samples noise
+# samples: L * min(C, 64) * n_r * 16 bytes
+MAX_MARGINAL_STACK_BYTES = 1 << 28
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,6 +123,14 @@ class SweepConfig:
             raise ConfigValidationError("seed must be a non-negative integer")
         if self.detector not in DETECTORS:
             raise ConfigValidationError(f"detector must be one of {DETECTORS}")
+        if self.detector == "marginalized":
+            stack = trial_stack_bytes(candidates, self.n_relay, self.marginal_samples)
+            if stack > MAX_MARGINAL_STACK_BYTES:
+                raise ConfigValidationError(
+                    f"marginalized block stack marginal_samples * min(C, {MARGINAL_BLOCK})"
+                    f" * n_r * 16 = "
+                    f"{stack} bytes exceeds the cap of {MAX_MARGINAL_STACK_BYTES}"
+                )
 
 
 def _parse_int(key, raw):

@@ -14,10 +14,16 @@ matrices and the relay's quantization method.  The mismatched detector
 scores each candidate message with the noiseless-relay surrogate; the
 marginalized detector averages the relay-noise likelihood over shared
 Monte Carlo samples (common random numbers across candidates) and serves
-as the near-optimal oracle.
+as the near-optimal oracle.  It picks its candidate by a block search
+(:func:`marginalized_picks`) that scores candidates 64 at a time in order
+of their SD term and stops once no unscored one can win; the pick is
+exactly the argmax of the full scores, which :func:`marginalized_scores`
+computes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,6 +35,11 @@ from .quantizers import CandidateBasis, candidate_relay_symbols, relay_symbols
 # sizes a batch: every spec's candidate work is bandwidth-bound, and at half
 # of a 2 MiB L2 its temporaries stay near cache size
 _CANDIDATE_STACK_BUDGET = 1 << 20
+# candidates per block of the marginalized search.  C = M**n_s is a power of
+# two, so every block is full, and 64-wide blocks score bit for bit as the
+# full row does (narrower widths that are not a multiple of 4 can differ in
+# the last bit)
+MARGINAL_BLOCK = 64
 
 
 def _sq_dists(y, cands):
@@ -55,6 +66,20 @@ def _candidate_products(h_sd, h_sr, codewords):
     sd_cands = h_sd @ transmit
     relay_in = np.ascontiguousarray((h_sr @ transmit).transpose(0, 2, 1))
     return sd_cands, relay_in
+
+
+def _block_terms(sd_term, relay_in, noise, rows, cols):
+    """Marginalized shared terms of the candidates ``cols`` of trials ``rows``.
+
+    ``cols`` (b, w) holds candidate indices of the b trials ``rows`` of the
+    (B, C) SD term, the (B, C, N_R) relay inputs and the (B, L, N_R) noise
+    samples.  The gathers copy exact values, so the block's scores equal
+    the full row's at those candidates bit for bit.
+    """
+    sd_block = sd_term[rows[:, None], cols]
+    relay_block = relay_in[rows[:, None], cols]
+    noisy = relay_block[:, None, :, :] + noise[rows][:, :, None, :]  # (b, L, w, N_R)
+    return sd_block, CandidateBasis(noisy)
 
 
 def _shared_terms(y_sd, h_sd, h_sr, codewords, sigma2, noise):
@@ -100,12 +125,80 @@ def _score_marginalized(shared, spec, h_rd, y_rd, sigma2):
     return sd_term + (peak[:, 0, :] + np.log(np.exp(rd_scores - peak).sum(axis=1)))
 
 
-# detector name -> (scoring function, the pick of the best candidate)
-_DETECTION = {
-    "mismatched": (_score_mismatched, np.argmin),
-    "marginalized": (_score_marginalized, np.argmax),
-}
-DETECTORS = tuple(_DETECTION)
+def marginalized_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
+    """(len(specs), B) candidates the marginalized detector picks, by block search.
+
+    ``y_rds`` holds each spec's (B, N_D) RD observations and ``noise`` the
+    (B, L, N_R) relay-noise samples.  The pick is ``argmax`` of the
+    :func:`marginalized_scores` row, smallest index among equal maxima, but
+    most candidates are never scored.  Each trial's candidates are taken in
+    blocks of ``MARGINAL_BLOCK`` in descending order of their SD term; a
+    later block replaces the running best only with a strictly higher
+    score, or an equal one at a smaller index.
+
+    The bound.  A score is sd(c) + peak + log(sum_l exp(r_l - peak)), where
+    r_l = -dRD_l/sigma2 and peak = max_l r_l.  Each summand is at most 1
+    and the peak's is exactly 1, so the rounded sum is at most L and the
+    log term about log L.  dRD = |c|^2 - 2 Re(y^H c) + |y|^2 is exactly
+    ||y - c||^2 >= 0; the relay vector x has unit power, so |c| <=
+    ||H_rd||_F and the rounding of that expansion over N_D terms stays
+    below delta sigma2, with
+
+        delta = (N_D + 4) 2**-50 (||H_rd||_F + ||y_rd||)**2 / sigma2,
+
+    which bounds r_l, hence peak.  Every score is thus at most
+    sd(c) + log L + delta up to the rounding of the final additions, which
+    slack = 2**-50 (|sd(next)| + |best| + log L + delta) covers.  Once
+    sd(next) + log L + delta + slack < best, where sd(next) is the trial's
+    highest SD term not yet scored, no unscored candidate reaches the
+    running best and the (spec, trial) pair stops.  At high SNR delta
+    grows and the search scores more blocks; it never changes a pick.
+    """
+    sd_cands, relay_in = _candidate_products(h_sd, h_sr, codewords)
+    sd_term = _sq_dists(y_sd, sd_cands) / -sigma2  # (B, C)
+    del sd_cands  # the SD term and the relay inputs are all the rounds read
+    batch, n_cand = sd_term.shape
+    width = min(n_cand, MARGINAL_BLOCK)
+    if n_cand > width:
+        order = np.argsort(-sd_term, axis=-1, kind="stable")
+    else:
+        order = np.broadcast_to(np.arange(n_cand), sd_term.shape)
+    log_l = math.log(noise.shape[1])
+    h_norm = np.linalg.norm(h_rd, axis=(1, 2))
+    delta = np.array([
+        (h_rd.shape[1] + 4) * 2.0**-50 * (h_norm + np.linalg.norm(y_rd, axis=-1)) ** 2 / sigma2
+        for y_rd in y_rds
+    ]).reshape(len(specs), batch)
+    best = np.full((len(specs), batch), -np.inf)
+    picks = np.full((len(specs), batch), n_cand)
+    pending = np.ones((len(specs), batch), dtype=bool)
+    for start in range(0, n_cand, width):
+        active = np.flatnonzero(pending.any(axis=0))
+        if not active.size:
+            break
+        cols = order[active, start:start + width]
+        shared = _block_terms(sd_term, relay_in, noise, active, cols)
+        for row, (spec, y_rd) in enumerate(zip(specs, y_rds)):
+            live = pending[row, active]
+            if not live.any():
+                continue
+            scores = _score_marginalized(shared, spec, h_rd[active], y_rd[active], sigma2)
+            top = scores.max(axis=1)
+            index = np.where(scores == top[:, None], cols, n_cand).min(axis=1)
+            was = best[row, active]
+            better = live & ((top > was) | ((top == was) & (index < picks[row, active])))
+            best[row, active[better]] = top[better]
+            picks[row, active[better]] = index[better]
+        if start + width < n_cand:
+            sd_next = sd_term[active, order[active, start + width]]
+            reach = sd_next + log_l + delta[:, active]
+            reach += 2.0**-50 * (np.abs(sd_next) + np.abs(best[:, active]) + log_l
+                                 + delta[:, active])
+            pending[:, active] &= reach >= best[:, active]
+    return picks
+
+
+DETECTORS = ("mismatched", "marginalized")
 
 
 def mismatched_metrics(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec):
@@ -173,10 +266,22 @@ def _draw_batch(n_source, n_relay, n_dest, codebook, sigma2, seed, snr_index,
     return sent, h_sr, h_sd, h_rd, y_sr, y_sd, noise[:, rd:relay], relay_noise
 
 
+def trial_stack_bytes(n_candidates, n_relay, marginal_samples):
+    """Bytes of one trial's complex candidate stack.
+
+    The mismatched detector (``marginal_samples`` 0) quantizes all C
+    candidates at once, the marginalized one a (L, block, N_R) stack with
+    block = min(C, ``MARGINAL_BLOCK``).
+    """
+    if marginal_samples:
+        n_candidates = marginal_samples * min(n_candidates, MARGINAL_BLOCK)
+    return n_candidates * n_relay * np.dtype(complex).itemsize
+
+
 def _batch_size(n_candidates, n_relay, marginal_samples):
-    """Trials per batch whose candidate stack fits the byte budget, at least 1."""
-    stack = n_candidates * n_relay * max(1, marginal_samples) * np.dtype(complex).itemsize
-    return max(1, _CANDIDATE_STACK_BUDGET // stack)
+    """Trials per batch whose candidate stacks fit the byte budget, at least 1."""
+    return max(1, _CANDIDATE_STACK_BUDGET // trial_stack_bytes(
+        n_candidates, n_relay, marginal_samples))
 
 
 def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
@@ -188,9 +293,8 @@ def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
     makes method comparisons paired.  Returns an int64 array of
     ``len(specs)`` bit-error counts.
     """
-    if detector not in _DETECTION:
+    if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
-    score, pick = _DETECTION[detector]
     for spec in specs:
         spec.validate_for(n_relay)
     codebook = build_codebook(alphabet, n_source)
@@ -205,10 +309,18 @@ def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
             n_source, n_relay, n_dest, codebook, sigma2, seed, snr_index,
             trials, marginal,
         )
-        shared = _shared_terms(y_sd, h_sd, h_sr, codebook.codewords, sigma2, noise)
-        for spec_row, spec in enumerate(specs):
-            x_relay = relay_symbols(y_sr, spec)
-            y_rd = _matvec(h_rd, x_relay) + z_rd
-            detected = pick(score(shared, spec, h_rd, y_rd, sigma2), axis=-1)
-            errors[spec_row] += int(codebook.bit_errors(sent, detected).sum())
+        y_rds = [_matvec(h_rd, relay_symbols(y_sr, spec)) + z_rd for spec in specs]
+        if marginal:
+            detected = marginalized_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codebook.codewords,
+                                          specs, sigma2, noise)
+        else:
+            # bound here, the basis outlives the batch until the next one's
+            # replaces it, so malloc does not hand its pages back in between
+            shared = _shared_terms(y_sd, h_sd, h_sr, codebook.codewords, sigma2, None)
+            detected = [
+                np.argmin(_score_mismatched(shared, spec, h_rd, y_rd, sigma2), axis=-1)
+                for spec, y_rd in zip(specs, y_rds)
+            ]
+        for spec_row, spec_picks in enumerate(detected):
+            errors[spec_row] += int(codebook.bit_errors(sent, spec_picks).sum())
     return errors

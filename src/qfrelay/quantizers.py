@@ -265,6 +265,12 @@ def _vector_norm(amps):
     return np.sqrt(np.einsum("...i,...i->...", amps, amps))
 
 
+# the smallest normal float; below its square root a sum of squares is
+# subnormal or zero
+_TINY = float(np.finfo(float).tiny)
+_SQRT_TINY = math.sqrt(_TINY)
+
+
 def uapq_symbols_from_parts(indices, bins, total_bits, phase_bits):
     """Relay symbols from stored U-APQ phase indices and amplitude bins."""
     gains = _bin_center_table(total_bits - phase_bits)[bins]
@@ -501,11 +507,33 @@ class CandidateBasis:
         return self._ranks
 
     def norms(self):
-        """Vector norms of the amplitudes; U-APQ and AF cannot scale a zero one."""
+        """Vector norms of the amplitudes; U-APQ and AF cannot scale a zero one.
+
+        A row whose sum of squares overflows, underflows to zero or loses
+        bits as a subnormal is recomputed with its amplitudes scaled by an
+        exact power of two, 2**-e for the frexp exponent e of its largest
+        amplitude, and the norm scaled back by 2**e.  Every other row keeps
+        the plain einsum's bits.  A norm outside [tiny, 1/tiny], tiny the
+        smallest normal float, is rejected, as a zero one is: AF's complex
+        division multiplies by 1/norm, which must be a normal float too.
+        """
         if self._norms is None:
-            norms = _vector_norm(self.amps())
-            if np.any(norms == 0.0):
-                raise ValueError("received vector has zero norm")
+            amps = self.amps()
+            norms = _vector_norm(amps)
+            lossy = ~(norms > _SQRT_TINY) | np.isinf(norms)
+            if lossy.any():
+                norms = np.array(norms)  # a single vector's norm is a scalar
+                scaled = amps[lossy]
+                _, exponent = np.frexp(scaled.max(axis=-1))
+                scaled = np.ldexp(scaled, -exponent[..., None])
+                with np.errstate(over="ignore"):
+                    norms[lossy] = np.ldexp(_vector_norm(scaled), exponent)
+                if np.any(norms == 0.0):
+                    raise ValueError("received vector has zero norm")
+                if not np.all((norms >= _TINY) & (norms <= 1.0 / _TINY)):
+                    raise ValueError(
+                        f"received vector norm lies outside [{_TINY:.3g}, {1.0 / _TINY:.3g}]"
+                    )
             self._norms = norms
         return self._norms
 
@@ -525,14 +553,20 @@ class CandidateBasis:
         return self._flat[key]
 
 
-@lru_cache(maxsize=None)
+# largest (levels, 2**qbar) H-APQ gain-phasor table that is built and
+# cached, 64 KiB, at most 64 of them; larger ones would grow with the inputs
+# (32 MiB for one 32-antenna vector at qbar = 16, m = 1), so their entries
+# are computed
+_HAPQ_TABLE_ENTRIES = 4096
+
+
+@lru_cache(maxsize=64)
 def _hapq_tables(phase_bits, group_size, level_exponent, n_antennas):
-    level_set = build_level_set(n_antennas, group_size, level_exponent)
-    phasors = sector_phasor(np.arange(1 << phase_bits), phase_bits)
+    levels = build_level_set(n_antennas, group_size, level_exponent).levels
     # entry [l-1, k] is levels[l-1] * phasor[k], the elementwise product
-    gain_phasor = level_set.levels[:, None] * phasors[None, :]
+    gain_phasor = levels[:, None] * _phasor_table(phase_bits)[None, :]
     gain_phasor.flags.writeable = False
-    return level_set, gain_phasor
+    return gain_phasor
 
 
 def candidate_relay_symbols(spec, basis):
@@ -546,10 +580,15 @@ def candidate_relay_symbols(spec, basis):
         indices = basis.phase_indices(spec.phase_bits)
         return uapq_symbols_from_parts(indices, bins, spec.total_bits, spec.phase_bits)
     if spec.kind == HAPQ:
-        level_set, gain_phasor = _hapq_tables(
-            spec.phase_bits, spec.group_size, spec.level_exponent, n_antennas
-        )
-        return gain_phasor.take(basis.level_phase_offsets(level_set, spec.phase_bits))
+        bits = spec.phase_bits
+        level_set = build_level_set(n_antennas, spec.group_size, spec.level_exponent)
+        offsets = basis.level_phase_offsets(level_set, bits)
+        if level_set.num_levels << bits <= _HAPQ_TABLE_ENTRIES:
+            table = _hapq_tables(bits, spec.group_size, spec.level_exponent, n_antennas)
+            return table.take(offsets)
+        # the table's real x complex product, for the entries used only
+        gains = level_set.levels.take(offsets >> bits)
+        return gains * _phasor_table(bits).take(offsets & ((1 << bits) - 1))
     return basis.values / basis.norms()[..., None]
 
 

@@ -3,17 +3,22 @@
 ``bench/layers.py`` lists the traced functions by dotted path relative to
 the qfrelay package, and ``bench/workloads.py`` checks sweep CSVs against
 its own copy of the column names.  Both are loaded here by file path and
-only read: the tracer is not installed, so nothing is rebound, and no
-workload runs.  A rename in the package then fails this suite, not only
-the benchmark's own smoke test.
+only read: the benchmark's tracer is not installed and no workload runs.
+A rename in the package then fails this suite, not only the benchmark's
+own smoke test, and so does a bypass: the marginalized sweep must still
+call every engine, quantizer, channel and codebook function that the
+benchmark expects its trace to reach.
 """
 
+import functools
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
-from qfrelay import sweep
+from qfrelay import engine, sweep
+from qfrelay.quantizers import HAPQ, UAPQ, QuantizerSpec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -46,3 +51,44 @@ def test_every_trace_target_is_a_package_function():
 
 def test_benchmark_csv_columns_match_the_sweep():
     assert tuple(_load("workloads").CSV_COLUMNS) == sweep.CSV_COLUMNS
+
+
+def test_marginalized_sweep_reaches_every_traced_layer(monkeypatch):
+    layers = _load("layers")
+    packages = ("engine", "quantizers", "channel", "codebook")
+    expected = {
+        layer for layer in layers.EXPECTED["sweep-marginalized"]
+        if layer.partition(".")[0] in packages
+    }
+    called = set()
+
+    def wrap(fn, layer):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            called.add(layer(args) if callable(layer) else layer)
+            return fn(*args, **kwargs)
+        return recorded
+
+    # rebind each function wherever a qfrelay module binds it, as the
+    # benchmark's tracer does
+    modules = [module for name, module in list(sys.modules.items())
+               if module is not None and (name == "qfrelay" or name.startswith("qfrelay."))]
+    for layer, path, _ in layers.TARGETS:
+        if path.partition(".")[0] not in packages:
+            continue
+        fn = _resolve(path)
+        module_name, _, rest = path.partition(".")
+        owner_name, _, method = rest.rpartition(".")
+        if owner_name:
+            owner = getattr(importlib.import_module(f"qfrelay.{module_name}"), owner_name)
+            monkeypatch.setattr(owner, method, wrap(fn, layer))
+            continue
+        wrapper = wrap(fn, layer)
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, wrapper)
+    specs = (QuantizerSpec(UAPQ, total_bits=8, phase_bits=4),
+             QuantizerSpec(HAPQ, phase_bits=4, group_size=2))
+    engine.count_errors(4, 4, 4, 4, specs, 4.0, 0, 20260810, 0, 4, detector="marginalized")
+    assert expected <= called, f"layers never called: {sorted(expected - called)}"

@@ -100,6 +100,19 @@ def test_ber_rejects_a_candidate_count_above_the_cap(tmp_path, capsys):
     assert "candidate count C = M**n_s = 4294967296 exceeds the cap of 65536" in err
 
 
+def test_ber_rejects_a_marginalized_block_above_the_cap(tmp_path, capsys):
+    # parsed only: one trial's 64-candidate block would take 256 MiB + 4 KiB
+    config = tmp_path / "wide.cfg"
+    config.write_text(
+        "n_s = 4\nn_r = 4\nn_d = 4\nM = 4\nsnr_db_grid = 0\n"
+        "trials_per_point = 1\nseed = 1\ndetector = marginalized\n"
+        "marginal_samples = 65537\n[spec]\nkind = AF\n"
+    )
+    assert main(["ber", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "= 268439552 bytes exceeds the cap of 268435456" in err
+
+
 def test_ber_rejects_an_snr_outside_the_range(tmp_path, capsys):
     # parsed only: at 4000 dB sigma2 would round to zero
     config = tmp_path / "loud.cfg"

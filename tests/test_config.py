@@ -8,6 +8,7 @@ import pytest
 from qfrelay import config
 from qfrelay.config import (
     MAX_CANDIDATES,
+    MAX_MARGINAL_STACK_BYTES,
     ConfigParseError,
     ConfigValidationError,
     SweepConfig,
@@ -174,3 +175,27 @@ def test_candidate_count_is_capped(tmp_path):
     # the cap itself is accepted: M = 16, n_s = 4 gives C = 2**16
     at_cap = MINIMAL.replace("M = 4", "M = 16")
     assert parse_config(_write(tmp_path, at_cap)).alphabet**4 == MAX_CANDIDATES
+
+
+def test_marginalized_block_stack_is_capped(tmp_path):
+    # parsed only: L * min(C, 64) * n_r * 16 bytes is 256 MiB at L = 65536
+    # for C = 4**4 and n_r = 4, the largest accepted
+    def with_samples(text, samples, detector="marginalized"):
+        top = f"seed = 42\ndetector = {detector}\nmarginal_samples = {samples}\n"
+        return text.replace("seed = 42\n", top)
+
+    at_cap = with_samples(MINIMAL, 65536)
+    assert parse_config(_write(tmp_path, at_cap)).marginal_samples == 65536
+    over = with_samples(MINIMAL, 65537)
+    message = (
+        f"marginalized block stack marginal_samples \\* min\\(C, 64\\) \\* n_r \\* 16 = "
+        f"{65537 * 64 * 4 * 16} bytes exceeds the cap of {MAX_MARGINAL_STACK_BYTES}"
+    )
+    with pytest.raises(ConfigValidationError, match=message):
+        parse_config(_write(tmp_path, over))
+    # the block is min(C, 64) wide: with C = 16 four times the samples fit
+    small = with_samples(MINIMAL.replace("n_s = 4", "n_s = 2"), 262144)
+    assert parse_config(_write(tmp_path, small)).marginal_samples == 262144
+    # the mismatched detector never builds the block, so L does not bound it
+    mismatched = with_samples(MINIMAL, 65537, detector="mismatched")
+    assert parse_config(_write(tmp_path, mismatched)).detector == "mismatched"

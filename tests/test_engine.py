@@ -168,7 +168,8 @@ def test_batched_scores_equal_reference_scores_bitwise(detector):
     sent, h_sr, h_sd, h_rd, y_sr, y_sd, z_rd, noise = engine._draw_batch(
         2, 4, 3, codebook, sigma2, 77, 1, range(13), samples
     )
-    score, _ = engine._DETECTION[detector]
+    score = {"mismatched": engine._score_mismatched,
+             "marginalized": engine._score_marginalized}[detector]
     shared = engine._shared_terms(y_sd, h_sd, h_sr, codebook.codewords, sigma2, noise)
     for spec in SPECS:
         y_rd = _matvec(h_rd, relay_symbols(y_sr, spec)) + z_rd
@@ -246,9 +247,128 @@ def test_draw_batch_equals_trial_by_trial_draws(samples):
                 assert np.array_equal(got[row], want), (name, trial)
 
 
+def _marginalized_draws(n_source, samples, snr_db, n_trials, seed=31):
+    """A marginalized batch and each SPECS entry's RD observations."""
+    codebook = build_codebook(4, n_source)
+    sigma2 = snr_db_to_sigma2(snr_db)
+    draws = engine._draw_batch(n_source, 4, 4, codebook, sigma2, seed, 0,
+                               range(n_trials), samples)
+    sent, h_sr, h_sd, h_rd, y_sr, y_sd, z_rd, noise = draws
+    y_rds = [_matvec(h_rd, relay_symbols(y_sr, spec)) + z_rd for spec in SPECS]
+    return codebook, sigma2, (y_sd, h_sd, h_sr, h_rd, noise), y_rds
+
+
+@pytest.mark.parametrize("n_source", [1, 4], ids=["C=4", "C=256"])
+@pytest.mark.parametrize("samples", [1, 3, 64])
+def test_marginalized_search_picks_the_argmax_of_the_full_scores(n_source, samples):
+    # the block search must pick np.argmax of the full score row on every
+    # trial, whatever the batch it runs in; at -MAX_SNR_DB every score ties
+    # and the smallest index must win
+    n_trials = 14
+    default = engine._batch_size(4**n_source, 4, samples)
+    for snr_db in (-MAX_SNR_DB, -10.0, 4.0, 16.0, 300.0, MAX_SNR_DB):
+        codebook, sigma2, arrays, y_rds = _marginalized_draws(
+            n_source, samples, snr_db, n_trials)
+        y_sd, h_sd, h_sr, h_rd, noise = arrays
+        want = np.array([
+            [np.argmax(engine.marginalized_scores(
+                y_sd[t], y_rd[t], h_sd[t], h_sr[t], h_rd[t], codebook.codewords, spec,
+                sigma2, noise[t])) for t in range(n_trials)]
+            for spec, y_rd in zip(SPECS, y_rds)
+        ])
+        for batch_size in (1, 7, default):
+            got = np.concatenate([
+                engine.marginalized_picks(
+                    y_sd[rows], [y_rd[rows] for y_rd in y_rds], h_sd[rows], h_sr[rows],
+                    h_rd[rows], codebook.codewords, SPECS, sigma2, noise[rows])
+                for rows in (slice(start, start + batch_size)
+                             for start in range(0, n_trials, batch_size))
+            ], axis=1)
+            assert np.array_equal(got, want), (snr_db, batch_size)
+
+
+@pytest.mark.parametrize("scores", ["deep", "edge", "tied"])
+def test_marginalized_search_against_adversarial_scores(scores, monkeypatch):
+    # a score is at most its SD term plus log L, and the search relies on no
+    # more than that.  Synthetic scores in [sd, sd + log L] make the search
+    # find: the lowest-SD candidate, when scores fall as the SD term rises
+    # ("deep"); the first candidate of the second block, at exactly its
+    # bound and 1e-12 above the best of the first ("edge"); and the
+    # smallest index, wherever the SD order puts it, when all tie ("tied")
+    codebook, sigma2, arrays, y_rds = _marginalized_draws(4, 64, -30.0, 14)
+    y_sd, h_sd, h_sr, h_rd, noise = arrays
+    sd_cands, _ = engine._candidate_products(h_sd, h_sr, codebook.codewords)
+    sd_term = engine._sq_dists(y_sd, sd_cands) / -sigma2
+    log_l = math.log(64)
+    in_order = np.sort(sd_term, axis=-1)[:, ::-1]
+    hi, second_block, lo = in_order[:, 0], in_order[:, 64], in_order[:, -1]
+    assert (hi - lo < log_l).all()
+    # each trial's RD row carries its SD values to the synthetic scorer
+    carrier = np.zeros_like(y_rds[0])
+    carrier[:, 0] = hi + 1j * lo
+    carrier[:, 1] = second_block
+
+    def synthetic(shared, spec, h_rd, y_rd, sigma2):
+        sd = shared[0]
+        top, bottom, edge = y_rd[:, :1].real, y_rd[:, :1].imag, y_rd[:, 1:2].real
+        if scores == "deep":
+            return sd + log_l * (top - sd) / (top - bottom)
+        if scores == "edge":
+            below = np.where(sd == top, edge + log_l - 1e-12, sd)
+            return np.where(sd == edge, sd + log_l, below)
+        return np.broadcast_to(bottom + log_l, sd.shape).copy()
+
+    monkeypatch.setattr(engine, "_score_marginalized", synthetic)
+    want = synthetic((sd_term,), None, None, carrier, None).argmax(axis=-1)
+    got = engine.marginalized_picks(y_sd, [carrier] * len(SPECS), h_sd, h_sr, h_rd,
+                                    codebook.codewords, SPECS, sigma2, noise)
+    assert np.array_equal(got, np.broadcast_to(want, got.shape))
+    # the case is only adversarial if winners lie beyond the first block
+    rank = np.argsort(np.argsort(-sd_term, axis=-1, kind="stable"), axis=-1)
+    assert (rank[np.arange(len(want)), want] >= 64).sum() >= 7
+
+
+def test_gathered_block_scores_equal_the_full_row_bitwise():
+    codebook, sigma2, arrays, y_rds = _marginalized_draws(4, 64, 6.0, 5, seed=9)
+    y_sd, h_sd, h_sr, h_rd, noise = arrays
+    full_terms = engine._shared_terms(y_sd, h_sd, h_sr, codebook.codewords, sigma2, noise)
+    sd_cands, relay_in = engine._candidate_products(h_sd, h_sr, codebook.codewords)
+    sd_term = engine._sq_dists(y_sd, sd_cands) / -sigma2
+    order = np.argsort(-sd_term, axis=-1, kind="stable")
+    rng = np.random.default_rng(3)
+    shuffled = rng.permuted(np.tile(np.arange(256), (5, 1)), axis=1)
+    blocks = [cols[:, start:start + 64] for cols in (order, shuffled)
+              for start in range(0, 256, 64)]
+    for spec, y_rd in zip(SPECS, y_rds):
+        full = engine._score_marginalized(full_terms, spec, h_rd, y_rd, sigma2)
+        for cols in blocks:
+            terms = engine._block_terms(sd_term, relay_in, noise, np.arange(5), cols)
+            block = engine._score_marginalized(terms, spec, h_rd, y_rd, sigma2)
+            assert block.tobytes() == np.take_along_axis(full, cols, axis=1).tobytes()
+
+
+def test_marginalized_search_stops_early(monkeypatch):
+    # the bound must let most trials stop after the first block at the
+    # benchmark's shape: C = 256, L = 64, 4 dB
+    scored = []
+    real = engine._block_terms
+
+    def counted(sd_term, relay_in, noise, rows, cols):
+        scored.append(cols.size)
+        return real(sd_term, relay_in, noise, rows, cols)
+
+    codebook, sigma2, arrays, y_rds = _marginalized_draws(4, 64, 4.0, 32)
+    y_sd, h_sd, h_sr, h_rd, noise = arrays
+    monkeypatch.setattr(engine, "_block_terms", counted)
+    engine.marginalized_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codebook.codewords,
+                              SPECS, sigma2, noise)
+    assert sum(scored) < 0.5 * 32 * 256
+
+
 def test_default_batch_fits_the_candidate_stack_budget():
     # criterion 7's mismatched shape (C = 4**4, N_R = 4), the marginalized
-    # L = 64 shape, and the candidate cap
+    # L = 64 shape, whose stack is one 64-candidate block, and the
+    # candidate cap
     assert engine._batch_size(256, 4, 0) == 64
-    assert engine._batch_size(256, 4, 64) == 1
+    assert engine._batch_size(256, 4, 64) == 4
     assert engine._batch_size(MAX_CANDIDATES, 4, 0) == 1

@@ -551,6 +551,85 @@ def test_af_examples():
 
 
 # ---------------------------------------------------------------------------
+# Extreme finite magnitudes: the norm of AF and U-APQ
+# ---------------------------------------------------------------------------
+
+MAGNITUDES = (1e-300, 1e-250, 1e-200, 1e-160, 1e-154, 1e-100, 1.0, 1e100, 1e154, 1e200,
+              1e250, 1e300)
+
+
+@pytest.mark.parametrize("spec", [QuantizerSpec(AF), spec_uapq()], ids=["AF", "U-APQ"])
+@pytest.mark.parametrize("scale", MAGNITUDES)
+def test_unit_power_across_finite_magnitudes(spec, scale):
+    # the squares of these amplitudes overflow or underflow from about
+    # 1e+-154 on; the norm rescales those rows by a power of two
+    rng = np.random.default_rng(12)
+    y = (rng.standard_normal((50, 8)) + 1j * rng.standard_normal((50, 8))) * scale
+    out = relay_symbols(y, spec)
+    power = np.sum(np.abs(out) ** 2, axis=-1)
+    np.testing.assert_array_less(np.abs(power - 1.0), 1e-12)
+    # one vector goes through the same path as the batch
+    assert np.array_equal(relay_symbols(y[3], spec), out[3])
+
+
+def test_norm_rescaling_keeps_normal_rows_and_scales_exactly():
+    from qfrelay.quantizers import CandidateBasis
+
+    rng = np.random.default_rng(13)
+    y = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    plain = CandidateBasis(y).norms()
+    mixed = y.copy()
+    mixed[1] *= 2.0**600  # squares overflow
+    mixed[4] *= 2.0**-600  # squares underflow
+    norms = CandidateBasis(mixed).norms()
+    assert np.array_equal(norms[[0, 2, 3, 5]], plain[[0, 2, 3, 5]])
+    assert norms[1] == np.ldexp(plain[1], 600)
+    assert norms[4] == np.ldexp(plain[4], -600)
+    for bad in (np.full(4, 1e308), np.full(4, 1e-320)):
+        with pytest.raises(ValueError, match="norm lies outside"):
+            relay_symbols(bad, QuantizerSpec(AF))
+
+
+# ---------------------------------------------------------------------------
+# The bounded H-APQ gain-phasor table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [spec_hapq(qbar=2, m=1), spec_hapq(qbar=4, m=2),
+                                  spec_hapq(qbar=8, m=3, n=4), spec_hapq(qbar=10, m=1, n=1)])
+def test_hapq_entries_without_the_table_equal_the_table(spec, monkeypatch):
+    from qfrelay import quantizers
+
+    rng = np.random.default_rng(14)
+    y = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+    monkeypatch.setattr(quantizers, "_HAPQ_TABLE_ENTRIES", 1 << 20)
+    table = relay_symbols(y, spec)
+    monkeypatch.setattr(quantizers, "_HAPQ_TABLE_ENTRIES", 0)
+    assert relay_symbols(y, spec).tobytes() == table.tobytes()
+
+
+def test_hapq_relay_symbols_of_a_wide_budget_stay_small():
+    # a (32 levels, 2**16) table would be 32 MiB; the entries are computed
+    import tracemalloc
+
+    from qfrelay.quantizers import _hapq_tables
+
+    rng = np.random.default_rng(15)
+    y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    spec = spec_hapq(qbar=16, m=1)
+    _hapq_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        out = relay_symbols(y, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert _hapq_tables.cache_info().currsize == 0
+    _, state = hapq_relay_symbols(y, 16, 1)
+    assert np.array_equal(out, relay_symbols_from_state(state))
+
+
+# ---------------------------------------------------------------------------
 # State capture and reconstruction
 # ---------------------------------------------------------------------------
 
