@@ -18,7 +18,8 @@ as the near-optimal oracle.  It picks its candidate by a block search
 (:func:`marginalized_picks`) that scores candidates 64 at a time in order
 of their SD term and stops once no unscored one can win; the pick is
 exactly the argmax of the full scores, which :func:`marginalized_scores`
-computes.
+computes.  The single-trial reference takes that argmax directly, so it
+checks the search rather than sharing it.
 """
 
 from __future__ import annotations
@@ -165,10 +166,8 @@ def marginalized_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, 
         order = np.broadcast_to(np.arange(n_cand), sd_term.shape)
     log_l = math.log(noise.shape[1])
     h_norm = np.linalg.norm(h_rd, axis=(1, 2))
-    delta = np.array([
-        (h_rd.shape[1] + 4) * 2.0**-50 * (h_norm + np.linalg.norm(y_rd, axis=-1)) ** 2 / sigma2
-        for y_rd in y_rds
-    ]).reshape(len(specs), batch)
+    y_norms = np.linalg.norm(np.stack(y_rds), axis=-1)  # (len(specs), B)
+    delta = (h_rd.shape[1] + 4) * 2.0**-50 / sigma2 * (h_norm + y_norms) ** 2
     best = np.full((len(specs), batch), -np.inf)
     picks = np.full((len(specs), batch), n_cand)
     pending = np.ones((len(specs), batch), dtype=bool)
@@ -278,10 +277,17 @@ def trial_stack_bytes(n_candidates, n_relay, marginal_samples):
     return n_candidates * n_relay * np.dtype(complex).itemsize
 
 
-def _batch_size(n_candidates, n_relay, marginal_samples):
-    """Trials per batch whose candidate stacks fit the byte budget, at least 1."""
-    return max(1, _CANDIDATE_STACK_BUDGET // trial_stack_bytes(
-        n_candidates, n_relay, marginal_samples))
+def _batch_size(n_candidates, n_relay, n_dest, marginal_samples):
+    """Trials per batch whose largest per-trial array fits the byte budget, at least 1.
+
+    Besides the candidate stack, both detectors build the SD and relay-input
+    products of all C candidates, (N_D, C) and (C, N_R) complex entries per
+    trial, which outgrow a marginalized block once C * max(N_R, N_D)
+    exceeds L * min(C, ``MARGINAL_BLOCK``) * N_R.
+    """
+    products = n_candidates * max(n_relay, n_dest) * np.dtype(complex).itemsize
+    stack = trial_stack_bytes(n_candidates, n_relay, marginal_samples)
+    return max(1, _CANDIDATE_STACK_BUDGET // max(stack, products))
 
 
 def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
@@ -301,7 +307,7 @@ def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
     sigma2 = snr_db_to_sigma2(snr_db)
     marginal = marginal_samples if detector == "marginalized" else 0
     if batch_size is None:
-        batch_size = _batch_size(codebook.n_messages, n_relay, marginal)
+        batch_size = _batch_size(codebook.n_messages, n_relay, n_dest, marginal)
     errors = np.zeros(len(specs), dtype=np.int64)
     for start in range(trial_start, trial_stop, batch_size):
         trials = range(start, min(start + batch_size, trial_stop))

@@ -103,17 +103,16 @@ def detect_marginalized(y_sd, y_rd, links, codebook, spec, sigma2, n_samples, rn
     Draws ``n_samples`` relay-noise vectors from ``rng`` and shares them
     across all candidate messages (common random numbers), scoring each
     candidate by a numerically stable log-sum-exp of the relay-noise
-    likelihood.  The engine's block search picks the best, with a batch of
-    one: ``argmax`` of the full scores, smallest index among ties.
+    likelihood.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     noise = sample_noise((n_samples, links.n_relay), sigma2, rng)
-    picks = engine.marginalized_picks(
-        y_sd[None], [y_rd[None]], links.h_sd[None], links.h_sr[None], links.h_rd[None],
-        codebook.codewords, (spec,), sigma2, noise[None],
+    scores = engine.marginalized_scores(
+        y_sd, y_rd, links.h_sd, links.h_sr, links.h_rd,
+        codebook.codewords, spec, sigma2, noise,
     )
-    return int(picks[0, 0])
+    return int(np.argmax(scores))
 
 
 def run_trial(point, trial_index, seed):

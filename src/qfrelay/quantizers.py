@@ -556,7 +556,10 @@ class CandidateBasis:
 # largest (levels, 2**qbar) H-APQ gain-phasor table that is built and
 # cached, 64 KiB, at most 64 of them; larger ones would grow with the inputs
 # (32 MiB for one 32-antenna vector at qbar = 16, m = 1), so their entries
-# are computed
+# are computed.  The table stays for the small specs the sweeps run: an
+# entry is one complex gather from it, against a level gather, a phasor
+# gather and a real x complex product without it (70 against 260 us for
+# 65536 entries at qbar = 4, N_R = 4 on a 2-core Xeon, numpy 2.4)
 _HAPQ_TABLE_ENTRIES = 4096
 
 

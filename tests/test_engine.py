@@ -265,7 +265,7 @@ def test_marginalized_search_picks_the_argmax_of_the_full_scores(n_source, sampl
     # trial, whatever the batch it runs in; at -MAX_SNR_DB every score ties
     # and the smallest index must win
     n_trials = 14
-    default = engine._batch_size(4**n_source, 4, samples)
+    default = engine._batch_size(4**n_source, 4, 4, samples)
     for snr_db in (-MAX_SNR_DB, -10.0, 4.0, 16.0, 300.0, MAX_SNR_DB):
         codebook, sigma2, arrays, y_rds = _marginalized_draws(
             n_source, samples, snr_db, n_trials)
@@ -366,9 +366,15 @@ def test_marginalized_search_stops_early(monkeypatch):
 
 
 def test_default_batch_fits_the_candidate_stack_budget():
-    # criterion 7's mismatched shape (C = 4**4, N_R = 4), the marginalized
-    # L = 64 shape, whose stack is one 64-candidate block, and the
-    # candidate cap
-    assert engine._batch_size(256, 4, 0) == 64
-    assert engine._batch_size(256, 4, 64) == 4
-    assert engine._batch_size(MAX_CANDIDATES, 4, 0) == 1
+    # criterion 7's mismatched shape (C = 4**4, N_R = N_D = 4), the
+    # marginalized L = 64 shape, whose stack is one 64-candidate block, and
+    # the candidate cap
+    assert engine._batch_size(256, 4, 4, 0) == 64
+    assert engine._batch_size(256, 4, 4, 64) == 4
+    assert engine._batch_size(MAX_CANDIDATES, 4, 4, 0) == 1
+    # a 4 KiB block at L = 1, but the SD and relay-input products of all
+    # 2**16 candidates take 4 MiB per trial
+    assert engine._batch_size(MAX_CANDIDATES, 4, 4, 1) == 1
+    # the wider of N_R and N_D sizes the products
+    assert engine._batch_size(1 << 12, 4, 16, 1) == 1
+    assert engine._batch_size(1 << 12, 16, 4, 1) == 1
