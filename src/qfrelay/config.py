@@ -26,10 +26,12 @@ takes ``SweepConfig``'s default (``detector`` mismatched,
 ``marginal_samples`` 64), except ``workers``, which defaults to the
 available cores; a sweep starts at most min(workers, tasks, cores) worker
 processes.
-The mismatched detector scores every candidate message at once, so the
-candidate count C = M**n_s may be at most ``MAX_CANDIDATES`` (2**16); the
-marginalized detector's block of marginal_samples * min(C, 64) * n_r
-complex entries may take at most ``MAX_MARGINAL_STACK_BYTES`` (256 MiB).
+Both detectors search the candidate messages in blocks, but first build
+products of all of them, so the candidate count C = M**n_s may be at most
+``MAX_CANDIDATES`` (2**16) and those products, C * max(n_r, n_d) complex
+entries per trial, may take at most ``MAX_PRODUCT_BYTES`` (256 MiB).  For
+the marginalized detector, marginal_samples * min(C, 64) * n_r complex
+entries may take at most ``MAX_MARGINAL_STACK_BYTES`` (256 MiB).
 Every snr_db_grid point must lie within +-``channel.MAX_SNR_DB`` (1000 dB),
 and q and qbar may be at most ``quantizers.MAX_BITS`` (16).
 """
@@ -41,7 +43,7 @@ import os
 
 from .channel import snr_db_to_sigma2
 from .codebook import SUPPORTED_ALPHABETS
-from .engine import DETECTORS, MARGINAL_BLOCK, trial_stack_bytes
+from .engine import DETECTORS, trial_product_bytes
 from .quantizers import KINDS, PARAM_KEYS, QuantizerSpec
 
 
@@ -58,15 +60,18 @@ class ConfigValidationError(ConfigError):
 
 
 _SPEC_KEYS = ("kind", *PARAM_KEYS.values())
-# largest candidate count C = M**n_s a sweep may enumerate.  A batch holds
-# at least one trial, and the mismatched detector scores all of a trial's
-# candidates at once, so the cap bounds its one-trial candidate stack,
-# C * n_r * 16 bytes: at the cap with n_r = 4, 4 MiB of relay inputs
+# largest candidate count C = M**n_s a sweep may enumerate
 MAX_CANDIDATES = 1 << 16
-# largest one-trial candidate stack of the marginalized detector, which
-# scores blocks of min(C, 64) candidates against L = marginal_samples noise
-# samples: L * min(C, 64) * n_r * 16 bytes
+# largest one-trial SD and relay-input products, C * max(n_r, n_d) * 16
+# bytes.  A batch holds at least one trial, and both detectors build these
+# products of all C candidates before the block search: at C = 2**16 and
+# n_r = n_d = 4 they take 4 MiB
+MAX_PRODUCT_BYTES = 1 << 28
+# largest L * min(C, 64) * n_r * 16 bytes of the marginalized detector, with
+# L = marginal_samples: up to four of its 16-candidate block stacks, which
+# leaves room for the per-spec temporaries of one, about 7 times the stack
 MAX_MARGINAL_STACK_BYTES = 1 << 28
+_MARGINAL_CAP_WIDTH = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,11 +128,18 @@ class SweepConfig:
             raise ConfigValidationError("seed must be a non-negative integer")
         if self.detector not in DETECTORS:
             raise ConfigValidationError(f"detector must be one of {DETECTORS}")
+        products = trial_product_bytes(candidates, self.n_relay, self.n_dest)
+        if products > MAX_PRODUCT_BYTES:
+            raise ConfigValidationError(
+                f"candidate products C * max(n_r, n_d) * 16 = {products} bytes exceeds "
+                f"the cap of {MAX_PRODUCT_BYTES}"
+            )
         if self.detector == "marginalized":
-            stack = trial_stack_bytes(candidates, self.n_relay, self.marginal_samples)
+            width = min(candidates, _MARGINAL_CAP_WIDTH)
+            stack = self.marginal_samples * width * self.n_relay * 16
             if stack > MAX_MARGINAL_STACK_BYTES:
                 raise ConfigValidationError(
-                    f"marginalized block stack marginal_samples * min(C, {MARGINAL_BLOCK})"
+                    f"marginalized block stack marginal_samples * min(C, {_MARGINAL_CAP_WIDTH})"
                     f" * n_r * 16 = "
                     f"{stack} bytes exceeds the cap of {MAX_MARGINAL_STACK_BYTES}"
                 )

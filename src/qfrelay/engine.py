@@ -14,12 +14,14 @@ matrices and the relay's quantization method.  The mismatched detector
 scores each candidate message with the noiseless-relay surrogate; the
 marginalized detector averages the relay-noise likelihood over shared
 Monte Carlo samples (common random numbers across candidates) and serves
-as the near-optimal oracle.  It picks its candidate by a block search
-(:func:`marginalized_picks`) that scores candidates 64 at a time in order
-of their SD term and stops once no unscored one can win; the pick is
-exactly the argmax of the full scores, which :func:`marginalized_scores`
-computes.  The single-trial reference takes that argmax directly, so it
-checks the search rather than sharing it.
+as the near-optimal oracle.  Both pick their candidate by one block search
+(:func:`block_picks`) that scores candidates in blocks, 64 (mismatched) or
+16 (marginalized) at a time, in order of their SD term and stops once no
+unscored one can win; the pick is exactly the argmin of the full metrics,
+which :func:`mismatched_metrics` computes, or the argmax of the full
+scores, which :func:`marginalized_scores` computes.  The single-trial
+reference takes that argmin or argmax directly, so it checks the search
+rather than sharing it.
 """
 
 from __future__ import annotations
@@ -36,11 +38,15 @@ from .quantizers import CandidateBasis, candidate_relay_symbols, relay_symbols
 # sizes a batch: every spec's candidate work is bandwidth-bound, and at half
 # of a 2 MiB L2 its temporaries stay near cache size
 _CANDIDATE_STACK_BUDGET = 1 << 20
-# candidates per block of the marginalized search.  C = M**n_s is a power of
-# two, so every block is full, and 64-wide blocks score bit for bit as the
-# full row does (narrower widths that are not a multiple of 4 can differ in
-# the last bit)
-MARGINAL_BLOCK = 64
+# candidates per block of the block search, per detector.  C = M**n_s is a
+# power of two, so every block is full, and blocks whose width is a multiple
+# of 16 score bit for bit as the full row does (widths that are not a
+# multiple of 4 can differ in the last bit).  A marginalized block is an
+# (L, width, N_R) stack, and at 4 dB most trials stop within two or three
+# 16-wide ones; a mismatched round is cheap per candidate and pays numpy's
+# per-call overhead once per spec, so its blocks are wider
+MARGINAL_BLOCK = 16
+MISMATCHED_BLOCK = 64
 
 
 def _sq_dists(y, cands):
@@ -69,18 +75,28 @@ def _candidate_products(h_sd, h_sr, codewords):
     return sd_cands, relay_in
 
 
+def _terms(sd_term, relay_in, noise):
+    """The SD term and the candidate basis of (B, C, N_R) relay inputs.
+
+    Without relay-noise samples (``noise`` is None) the basis holds the
+    noiseless relay inputs; with samples of shape (B, L, N_R) it holds the
+    noisy (B, L, C, N_R) stack.
+    """
+    if noise is None:
+        return sd_term, CandidateBasis(relay_in)
+    return sd_term, CandidateBasis(relay_in[:, None, :, :] + noise[:, :, None, :])
+
+
 def _block_terms(sd_term, relay_in, noise, rows, cols):
-    """Marginalized shared terms of the candidates ``cols`` of trials ``rows``.
+    """Shared terms of the candidates ``cols`` of trials ``rows``.
 
     ``cols`` (b, w) holds candidate indices of the b trials ``rows`` of the
-    (B, C) SD term, the (B, C, N_R) relay inputs and the (B, L, N_R) noise
-    samples.  The gathers copy exact values, so the block's scores equal
-    the full row's at those candidates bit for bit.
+    (B, C) SD term, the (B, C, N_R) relay inputs and, when marginalizing,
+    the (B, L, N_R) noise samples.  The gathers copy exact values, so the
+    block's scores equal the full row's at those candidates bit for bit.
     """
-    sd_block = sd_term[rows[:, None], cols]
-    relay_block = relay_in[rows[:, None], cols]
-    noisy = relay_block[:, None, :, :] + noise[rows][:, :, None, :]  # (b, L, w, N_R)
-    return sd_block, CandidateBasis(noisy)
+    gather = rows[:, None], cols
+    return _terms(sd_term[gather], relay_in[gather], None if noise is None else noise[rows])
 
 
 def _shared_terms(y_sd, h_sd, h_sr, codewords, sigma2, noise):
@@ -93,10 +109,9 @@ def _shared_terms(y_sd, h_sd, h_sr, codewords, sigma2, noise):
     """
     sd_cands, relay_in = _candidate_products(h_sd, h_sr, codewords)
     sd_term = _sq_dists(y_sd, sd_cands)
-    if noise is None:
-        return sd_term, CandidateBasis(relay_in)
-    noisy = relay_in[:, None, :, :] + noise[:, :, None, :]  # (B, L, C, N_R)
-    return sd_term / -sigma2, CandidateBasis(noisy)
+    if noise is not None:
+        sd_term = sd_term / -sigma2
+    return _terms(sd_term, relay_in, noise)
 
 
 def _score_mismatched(shared, spec, h_rd, y_rd, sigma2):
@@ -126,48 +141,63 @@ def _score_marginalized(shared, spec, h_rd, y_rd, sigma2):
     return sd_term + (peak[:, 0, :] + np.log(np.exp(rd_scores - peak).sum(axis=1)))
 
 
-def marginalized_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
-    """(len(specs), B) candidates the marginalized detector picks, by block search.
+def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
+    """(len(specs), B) candidates the detector picks, by block search.
 
-    ``y_rds`` holds each spec's (B, N_D) RD observations and ``noise`` the
-    (B, L, N_R) relay-noise samples.  The pick is ``argmax`` of the
-    :func:`marginalized_scores` row, smallest index among equal maxima, but
-    most candidates are never scored.  Each trial's candidates are taken in
-    blocks of ``MARGINAL_BLOCK`` in descending order of their SD term; a
-    later block replaces the running best only with a strictly higher
-    score, or an equal one at a smaller index.
+    ``y_rds`` holds each spec's (B, N_D) RD observations.  With ``noise``
+    None the detector is the mismatched one, and the pick is ``argmin`` of
+    the :func:`mismatched_metrics` row; with the (B, L, N_R) relay-noise
+    samples it is the marginalized one, and the pick is ``argmax`` of the
+    :func:`marginalized_scores` row.  Equal optima go to the smallest
+    index.  The search maximizes a score: the marginalized score, or the
+    negated mismatched metric, negation being exact.  Each trial's
+    candidates are taken in blocks of ``MARGINAL_BLOCK`` or
+    ``MISMATCHED_BLOCK`` in descending order of their SD part of the score
+    (-dSD/sigma2, or -dSD), and most of them are never scored; a later block
+    replaces the running best only with a strictly higher score, or an equal
+    one at a smaller index.
 
-    The bound.  A score is sd(c) + peak + log(sum_l exp(r_l - peak)), where
-    r_l = -dRD_l/sigma2 and peak = max_l r_l.  Each summand is at most 1
-    and the peak's is exactly 1, so the rounded sum is at most L and the
-    log term about log L.  dRD = |c|^2 - 2 Re(y^H c) + |y|^2 is exactly
-    ||y - c||^2 >= 0; the relay vector x has unit power, so |c| <=
-    ||H_rd||_F and the rounding of that expansion over N_D terms stays
-    below delta sigma2, with
+    The bound.  Write s(c) for a candidate's SD part of the score: -dSD
+    (mismatched) or -dSD/sigma2 (marginalized).  dRD = |c|^2 - 2 Re(y^H c)
+    + |y|^2 is exactly ||y - c||^2 >= 0; the relay vector x has unit power,
+    so |c| <= ||H_rd||_F and the rounding of that expansion over N_D terms
+    stays below
 
-        delta = (N_D + 4) 2**-50 (||H_rd||_F + ||y_rd||)**2 / sigma2,
+        delta = (N_D + 4) 2**-50 (||H_rd||_F + ||y_rd||)**2.
 
-    which bounds r_l, hence peak.  Every score is thus at most
-    sd(c) + log L + delta up to the rounding of the final additions, which
-    slack = 2**-50 (|sd(next)| + |best| + log L + delta) covers.  Once
-    sd(next) + log L + delta + slack < best, where sd(next) is the trial's
-    highest SD term not yet scored, no unscored candidate reaches the
-    running best and the (spec, trial) pair stops.  At high SNR delta
-    grows and the search scores more blocks; it never changes a pick.
+    Mismatched: a score is -(dSD + dRD) <= s(c) + delta.  Marginalized: a
+    score is s(c) + peak + log(sum_l exp(r_l - peak)), where r_l =
+    -dRD_l/sigma2 and peak = max_l r_l.  Each summand is at most 1 and the
+    peak's is exactly 1, so the rounded sum is at most L and the log term
+    about log L, while r_l, hence peak, is at most delta/sigma2.  Every
+    score is thus at most s(c) + gap + delta, with gap = 0 (mismatched), or
+    gap = log L and delta/sigma2 in place of delta (marginalized), up to
+    the rounding of the final additions, which slack = 2**-50 (|s(next)| +
+    |best| + gap + delta) covers.  Once s(next) + gap + delta + slack <
+    best, where s(next) is the trial's highest SD part not yet scored, no
+    unscored candidate reaches the running best and the (spec, trial) pair
+    stops.  At high SNR the marginalized delta grows and the search scores
+    more blocks; it never changes a pick.
     """
     sd_cands, relay_in = _candidate_products(h_sd, h_sr, codewords)
-    sd_term = _sq_dists(y_sd, sd_cands) / -sigma2  # (B, C)
+    sd_term = _sq_dists(y_sd, sd_cands)
     del sd_cands  # the SD term and the relay inputs are all the rounds read
-    batch, n_cand = sd_term.shape
-    width = min(n_cand, MARGINAL_BLOCK)
-    if n_cand > width:
-        order = np.argsort(-sd_term, axis=-1, kind="stable")
-    else:
-        order = np.broadcast_to(np.arange(n_cand), sd_term.shape)
-    log_l = math.log(noise.shape[1])
     h_norm = np.linalg.norm(h_rd, axis=(1, 2))
     y_norms = np.linalg.norm(np.stack(y_rds), axis=-1)  # (len(specs), B)
-    delta = (h_rd.shape[1] + 4) * 2.0**-50 / sigma2 * (h_norm + y_norms) ** 2
+    delta = (h_rd.shape[1] + 4) * 2.0**-50 * (h_norm + y_norms) ** 2
+    if noise is None:
+        score, width, gap = _score_mismatched, MISMATCHED_BLOCK, 0.0
+        key = -sd_term  # s(c)
+    else:
+        score, width, gap = _score_marginalized, MARGINAL_BLOCK, math.log(noise.shape[1])
+        key = sd_term = sd_term / -sigma2
+        delta /= sigma2
+    batch, n_cand = sd_term.shape
+    width = min(n_cand, width)
+    if n_cand > width:
+        order = np.argsort(-key, axis=-1, kind="stable")
+    else:
+        order = np.broadcast_to(np.arange(n_cand), sd_term.shape)
     best = np.full((len(specs), batch), -np.inf)
     picks = np.full((len(specs), batch), n_cand)
     pending = np.ones((len(specs), batch), dtype=bool)
@@ -177,11 +207,14 @@ def marginalized_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, 
             break
         cols = order[active, start:start + width]
         shared = _block_terms(sd_term, relay_in, noise, active, cols)
+        h_rd_active = h_rd[active]
         for row, (spec, y_rd) in enumerate(zip(specs, y_rds)):
             live = pending[row, active]
             if not live.any():
                 continue
-            scores = _score_marginalized(shared, spec, h_rd[active], y_rd[active], sigma2)
+            scores = score(shared, spec, h_rd_active, y_rd[active], sigma2)
+            if noise is None:
+                np.negative(scores, out=scores)
             top = scores.max(axis=1)
             index = np.where(scores == top[:, None], cols, n_cand).min(axis=1)
             was = best[row, active]
@@ -189,9 +222,9 @@ def marginalized_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, 
             best[row, active[better]] = top[better]
             picks[row, active[better]] = index[better]
         if start + width < n_cand:
-            sd_next = sd_term[active, order[active, start + width]]
-            reach = sd_next + log_l + delta[:, active]
-            reach += 2.0**-50 * (np.abs(sd_next) + np.abs(best[:, active]) + log_l
+            key_next = key[active, order[active, start + width]]
+            reach = key_next + gap + delta[:, active]
+            reach += 2.0**-50 * (np.abs(key_next) + np.abs(best[:, active]) + gap
                                  + delta[:, active])
             pending[:, active] &= reach >= best[:, active]
     return picks
@@ -265,28 +298,26 @@ def _draw_batch(n_source, n_relay, n_dest, codebook, sigma2, seed, snr_index,
     return sent, h_sr, h_sd, h_rd, y_sr, y_sd, noise[:, rd:relay], relay_noise
 
 
-def trial_stack_bytes(n_candidates, n_relay, marginal_samples):
-    """Bytes of one trial's complex candidate stack.
+def trial_product_bytes(n_candidates, n_relay, n_dest):
+    """Bytes of one trial's SD and relay-input products of all C candidates.
 
-    The mismatched detector (``marginal_samples`` 0) quantizes all C
-    candidates at once, the marginalized one a (L, block, N_R) stack with
-    block = min(C, ``MARGINAL_BLOCK``).
+    Both detectors build them before the search: (N_D, C) and (C, N_R)
+    complex entries, the wider of which this counts.
     """
-    if marginal_samples:
-        n_candidates = marginal_samples * min(n_candidates, MARGINAL_BLOCK)
-    return n_candidates * n_relay * np.dtype(complex).itemsize
+    return n_candidates * max(n_relay, n_dest) * np.dtype(complex).itemsize
 
 
 def _batch_size(n_candidates, n_relay, n_dest, marginal_samples):
     """Trials per batch whose largest per-trial array fits the byte budget, at least 1.
 
-    Besides the candidate stack, both detectors build the SD and relay-input
-    products of all C candidates, (N_D, C) and (C, N_R) complex entries per
-    trial, which outgrow a marginalized block once C * max(N_R, N_D)
-    exceeds L * min(C, ``MARGINAL_BLOCK``) * N_R.
+    That array is the full-C products or, when marginalizing, the (L, block,
+    N_R) complex stack of one round, block = min(C, ``MARGINAL_BLOCK``).  A
+    mismatched round's (min(C, ``MISMATCHED_BLOCK``), N_R) stack never
+    outgrows the products.
     """
-    products = n_candidates * max(n_relay, n_dest) * np.dtype(complex).itemsize
-    stack = trial_stack_bytes(n_candidates, n_relay, marginal_samples)
+    block = marginal_samples * min(n_candidates, MARGINAL_BLOCK) * n_relay
+    stack = block * np.dtype(complex).itemsize
+    products = trial_product_bytes(n_candidates, n_relay, n_dest)
     return max(1, _CANDIDATE_STACK_BUDGET // max(stack, products))
 
 
@@ -316,17 +347,8 @@ def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
             trials, marginal,
         )
         y_rds = [_matvec(h_rd, relay_symbols(y_sr, spec)) + z_rd for spec in specs]
-        if marginal:
-            detected = marginalized_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codebook.codewords,
-                                          specs, sigma2, noise)
-        else:
-            # bound here, the basis outlives the batch until the next one's
-            # replaces it, so malloc does not hand its pages back in between
-            shared = _shared_terms(y_sd, h_sd, h_sr, codebook.codewords, sigma2, None)
-            detected = [
-                np.argmin(_score_mismatched(shared, spec, h_rd, y_rd, sigma2), axis=-1)
-                for spec, y_rd in zip(specs, y_rds)
-            ]
+        detected = block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codebook.codewords, specs,
+                               sigma2, noise)
         for spec_row, spec_picks in enumerate(detected):
             errors[spec_row] += int(codebook.bit_errors(sent, spec_picks).sum())
     return errors

@@ -5,8 +5,8 @@ the qfrelay package, and ``bench/workloads.py`` checks sweep CSVs against
 its own copy of the column names.  Both are loaded here by file path and
 only read: the benchmark's tracer is not installed and no workload runs.
 A rename in the package then fails this suite, not only the benchmark's
-own smoke test, and so does a bypass: the marginalized sweep must still
-call every engine, quantizer, channel and codebook function that the
+own smoke test, and so does a bypass: each sweep workload's detector must
+still call every engine, quantizer, channel and codebook function that the
 benchmark expects its trace to reach.
 """
 
@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from qfrelay import engine, sweep
-from qfrelay.quantizers import HAPQ, UAPQ, QuantizerSpec
+from qfrelay.quantizers import AF, HAPQ, UAPQ, QuantizerSpec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -53,11 +53,16 @@ def test_benchmark_csv_columns_match_the_sweep():
     assert tuple(_load("workloads").CSV_COLUMNS) == sweep.CSV_COLUMNS
 
 
-def test_marginalized_sweep_reaches_every_traced_layer(monkeypatch):
+UAPQ_SPEC = QuantizerSpec(UAPQ, total_bits=8, phase_bits=4)
+HAPQ_SPEC = QuantizerSpec(HAPQ, phase_bits=4, group_size=2)
+
+
+def _assert_reaches_every_traced_layer(monkeypatch, workload, detector, specs):
+    """A traced ``count_errors`` run calls every in-package layer the workload expects."""
     layers = _load("layers")
     packages = ("engine", "quantizers", "channel", "codebook")
     expected = {
-        layer for layer in layers.EXPECTED["sweep-marginalized"]
+        layer for layer in layers.EXPECTED[workload]
         if layer.partition(".")[0] in packages
     }
     called = set()
@@ -88,7 +93,15 @@ def test_marginalized_sweep_reaches_every_traced_layer(monkeypatch):
             for name, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, name, wrapper)
-    specs = (QuantizerSpec(UAPQ, total_bits=8, phase_bits=4),
-             QuantizerSpec(HAPQ, phase_bits=4, group_size=2))
-    engine.count_errors(4, 4, 4, 4, specs, 4.0, 0, 20260810, 0, 4, detector="marginalized")
+    engine.count_errors(4, 4, 4, 4, specs, 4.0, 0, 20260810, 0, 4, detector=detector)
     assert expected <= called, f"layers never called: {sorted(expected - called)}"
+
+
+def test_marginalized_sweep_reaches_every_traced_layer(monkeypatch):
+    _assert_reaches_every_traced_layer(monkeypatch, "sweep-marginalized", "marginalized",
+                                       (UAPQ_SPEC, HAPQ_SPEC))
+
+
+def test_mismatched_sweep_reaches_every_traced_layer(monkeypatch):
+    _assert_reaches_every_traced_layer(monkeypatch, "sweep-mismatched", "mismatched",
+                                       (UAPQ_SPEC, HAPQ_SPEC, QuantizerSpec(AF)))

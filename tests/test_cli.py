@@ -1,6 +1,7 @@
 """CLI surface: subcommands, output formats, exit codes."""
 
 import numpy as np
+import pytest
 
 from qfrelay.cli import main
 
@@ -111,6 +112,22 @@ def test_ber_rejects_a_marginalized_block_above_the_cap(tmp_path, capsys):
     assert main(["ber", str(config)]) == 1
     err = capsys.readouterr().err
     assert "= 268439552 bytes exceeds the cap of 268435456" in err
+
+
+@pytest.mark.parametrize("detector", ["mismatched", "marginalized"])
+def test_ber_rejects_candidate_products_above_the_cap(tmp_path, capsys, detector):
+    # parsed only: one trial's relay inputs of all C = 2**16 candidates
+    # would take 4 GiB at n_r = 4096, for either detector
+    config = tmp_path / "tall.cfg"
+    config.write_text(
+        "n_s = 4\nn_r = 4096\nn_d = 4\nM = 16\nsnr_db_grid = 0\n"
+        f"trials_per_point = 1\nseed = 1\ndetector = {detector}\n"
+        "marginal_samples = 1\n[spec]\nkind = AF\n"
+    )
+    assert main(["ber", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert ("candidate products C * max(n_r, n_d) * 16 = 4294967296 bytes exceeds "
+            "the cap of 268435456") in err
 
 
 def test_ber_rejects_an_snr_outside_the_range(tmp_path, capsys):

@@ -9,6 +9,7 @@ from qfrelay import config
 from qfrelay.config import (
     MAX_CANDIDATES,
     MAX_MARGINAL_STACK_BYTES,
+    MAX_PRODUCT_BYTES,
     ConfigParseError,
     ConfigValidationError,
     SweepConfig,
@@ -199,3 +200,24 @@ def test_marginalized_block_stack_is_capped(tmp_path):
     # the mismatched detector never builds the block, so L does not bound it
     mismatched = with_samples(MINIMAL, 65537, detector="mismatched")
     assert parse_config(_write(tmp_path, mismatched)).detector == "mismatched"
+
+
+@pytest.mark.parametrize("detector", ["mismatched", "marginalized"])
+def test_candidate_products_are_capped(tmp_path, detector):
+    # parsed only: C * max(n_r, n_d) * 16 bytes is 256 MiB at C = 2**16 and
+    # a widest side of 256, the largest accepted, whichever side it is
+    def shaped(n_r, n_d):
+        return MINIMAL.replace("M = 4", "M = 16").replace(
+            "n_r = 4\nn_d = 4", f"n_r = {n_r}\nn_d = {n_d}").replace(
+            "seed = 42\n", f"seed = 42\ndetector = {detector}\n")
+
+    for n_r, n_d in ((256, 4), (4, 256)):
+        cfg = parse_config(_write(tmp_path, shaped(n_r, n_d)))
+        assert (cfg.n_relay, cfg.n_dest) == (n_r, n_d)
+    for n_r, n_d in ((257, 4), (4, 257)):
+        message = (
+            f"candidate products C \\* max\\(n_r, n_d\\) \\* 16 = {2**16 * 257 * 16} "
+            f"bytes exceeds the cap of {MAX_PRODUCT_BYTES}"
+        )
+        with pytest.raises(ConfigValidationError, match=message):
+            parse_config(_write(tmp_path, shaped(n_r, n_d)))
