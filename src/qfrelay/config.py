@@ -30,8 +30,9 @@ Both detectors search the candidate messages in blocks, but first build
 products of all of them, so the candidate count C = M**n_s may be at most
 ``MAX_CANDIDATES`` (2**16) and those products, C * max(n_r, n_d) complex
 entries per trial, may take at most ``MAX_PRODUCT_BYTES`` (256 MiB).  For
-the marginalized detector, marginal_samples * min(C, 64) * n_r complex
-entries may take at most ``MAX_MARGINAL_STACK_BYTES`` (256 MiB).
+the marginalized detector, one block stack of marginal_samples *
+min(C, 16) * n_r complex entries may take at most
+``MAX_MARGINAL_STACK_BYTES`` (64 MiB).
 Every snr_db_grid point must lie within +-``channel.MAX_SNR_DB`` (1000 dB),
 and q and qbar may be at most ``quantizers.MAX_BITS`` (16).
 """
@@ -43,7 +44,7 @@ import os
 
 from .channel import snr_db_to_sigma2
 from .codebook import SUPPORTED_ALPHABETS
-from .engine import DETECTORS, trial_product_bytes
+from .engine import DETECTORS, MARGINAL_BLOCK, trial_product_bytes
 from .quantizers import KINDS, PARAM_KEYS, QuantizerSpec
 
 
@@ -67,11 +68,12 @@ MAX_CANDIDATES = 1 << 16
 # products of all C candidates before the block search: at C = 2**16 and
 # n_r = n_d = 4 they take 4 MiB
 MAX_PRODUCT_BYTES = 1 << 28
-# largest L * min(C, 64) * n_r * 16 bytes of the marginalized detector, with
-# L = marginal_samples: up to four of its 16-candidate block stacks, which
-# leaves room for the per-spec temporaries of one, about 7 times the stack
-MAX_MARGINAL_STACK_BYTES = 1 << 28
-_MARGINAL_CAP_WIDTH = 64
+# largest L * min(C, 16) * n_r * 16 bytes of the marginalized detector, with
+# L = marginal_samples: one of the block stacks the engine builds, each
+# min(C, engine.MARGINAL_BLOCK) candidates wide.  The per-spec temporaries
+# of a block take about 7 times the stack, so an at-cap trial peaks near
+# half a GiB
+MAX_MARGINAL_STACK_BYTES = 1 << 26
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,13 +137,12 @@ class SweepConfig:
                 f"the cap of {MAX_PRODUCT_BYTES}"
             )
         if self.detector == "marginalized":
-            width = min(candidates, _MARGINAL_CAP_WIDTH)
+            width = min(candidates, MARGINAL_BLOCK)
             stack = self.marginal_samples * width * self.n_relay * 16
             if stack > MAX_MARGINAL_STACK_BYTES:
                 raise ConfigValidationError(
-                    f"marginalized block stack marginal_samples * min(C, {_MARGINAL_CAP_WIDTH})"
-                    f" * n_r * 16 = "
-                    f"{stack} bytes exceeds the cap of {MAX_MARGINAL_STACK_BYTES}"
+                    f"marginalized block stack marginal_samples * min(C, {MARGINAL_BLOCK}) * n_r"
+                    f" * 16 = {stack} bytes exceeds the cap of {MAX_MARGINAL_STACK_BYTES}"
                 )
 
 

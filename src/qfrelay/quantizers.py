@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -296,6 +297,25 @@ def uapq_amplitude_bins(amps, norms, amplitude_bits):
 # H-APQ level sets and ordered amplitude quantization
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024, typed=True)
+def oaq_level_multiset(n_antennas, group_size):
+    """Sorted level indices of every valid O-AQ assignment, as a tuple.
+
+    The one definition of the O-AQ grouping, which the level set, the
+    assignment check and the codeword count read: the antennas in ascending
+    amplitude order take levels 1, 2, ... in groups of ``group_size``, so
+    there are K = ceil(n / m) levels, m antennas on each and the remainder
+    on the top one.  Each level index appears once per antenna it is
+    assigned to.  Raises ``ValueError`` unless both arguments are integers,
+    not bools, with 1 <= group_size <= n_antennas.
+    """
+    _require_positive_int(n_antennas, "n_antennas")
+    if (not isinstance(group_size, int) or isinstance(group_size, bool)
+            or not 1 <= group_size <= n_antennas):
+        raise ValueError(f"group size m must be in 1..{n_antennas}, got {group_size!r}")
+    return tuple(rank // group_size + 1 for rank in range(n_antennas))
+
+
 @dataclass(frozen=True, eq=False)
 class LevelSet:
     """Ascending amplitude levels satisfying the unit transmit-power identity."""
@@ -307,43 +327,31 @@ class LevelSet:
     n_antennas: int
 
     def __post_init__(self):
-        if self.num_levels != -(-self.n_antennas // self.group_size):
+        pool = oaq_level_multiset(self.n_antennas, self.group_size)
+        if self.num_levels != pool[-1]:
             raise ValueError("num_levels must equal ceil(n_antennas / group_size)")
         if len(self.levels) != self.num_levels:
             raise ValueError("levels length must equal num_levels")
         if np.any(self.levels <= 0) or np.any(np.diff(self.levels) <= 0):
             raise ValueError("levels must be positive and strictly ascending")
-        last_count = self.n_antennas - (self.num_levels - 1) * self.group_size
-        power = (
-            self.group_size * float(np.sum(self.levels[:-1] ** 2))
-            + last_count * float(self.levels[-1] ** 2)
-        )
+        power = float(np.sum(self.levels[np.subtract(pool, 1)] ** 2))
         if abs(power - 1.0) >= 1e-12:
             raise ValueError(f"level set violates the power identity: {power!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_level_set(n_antennas, group_size, level_exponent=2):
     """Construct the H-APQ level set a_k = k**(n/2) * spacing.
 
-    The spacing is fixed by unit transmit power: the lowest num_levels - 1
-    levels are each used by group_size antennas and the top level by the
-    remainder.
+    The spacing is fixed by unit transmit power: the sum of a_k**2 over the
+    O-AQ level multiset, one term per antenna, is 1.
     """
-    _require_positive_int(n_antennas, "n_antennas")
     _require_positive_int(level_exponent, "family_n")
-    if not isinstance(group_size, int) or not 1 <= group_size <= n_antennas:
-        raise ValueError(
-            f"group size m must be in 1..{n_antennas}, got {group_size!r}"
-        )
-    num_levels = -(-n_antennas // group_size)
-    last_count = n_antennas - (num_levels - 1) * group_size
-    weight = group_size * sum(k**level_exponent for k in range(1, num_levels))
-    weight += last_count * num_levels**level_exponent
-    spacing = 1.0 / math.sqrt(weight)
-    levels = spacing * np.arange(1, num_levels + 1, dtype=float) ** (0.5 * level_exponent)
+    pool = oaq_level_multiset(n_antennas, group_size)
+    spacing = 1.0 / math.sqrt(sum(level**level_exponent for level in pool))
+    levels = spacing * np.arange(1, pool[-1] + 1, dtype=float) ** (0.5 * level_exponent)
     levels.flags.writeable = False
-    return LevelSet(levels, spacing, num_levels, group_size, n_antennas)
+    return LevelSet(levels, spacing, pool[-1], group_size, n_antennas)
 
 
 def oaq_sort_ranks(amps):
@@ -383,21 +391,6 @@ def oaq_sort_ranks(amps):
     return ranks
 
 
-@lru_cache(maxsize=1024, typed=True)
-def oaq_level_multiset(n_antennas, group_size):
-    """Sorted level indices of every valid O-AQ assignment, as a tuple.
-
-    Each level index appears once per antenna it is assigned to:
-    group_size times for the lower levels, the remainder for the top one.
-    """
-    num_levels = -(-n_antennas // group_size)
-    levels = []
-    for level in range(1, num_levels):
-        levels.extend([level] * group_size)
-    levels.extend([num_levels] * (n_antennas - (num_levels - 1) * group_size))
-    return tuple(levels)
-
-
 def check_oaq_assignment(assignment, n_antennas, group_size):
     """Reject a level assignment whose multiplicities break the O-AQ grouping.
 
@@ -424,15 +417,17 @@ def check_oaq_assignment(assignment, n_antennas, group_size):
         if isinstance(level, (bool, np.bool_)):
             raise TypeError(f"level index {level!r} is not an integer")
         counts[level - 1] += 1
-    expected = [group_size] * (num_levels - 1)
-    expected.append(n_antennas - (num_levels - 1) * group_size)
+    expected = list(Counter(pool).values())
     if counts != expected:
         raise ValueError(f"level multiplicities {counts} violate the O-AQ grouping {expected}")
 
 
-def oaq_levels_for_ranks(ranks, group_size, num_levels):
-    """Level index (1-based) assigned to each ascending-sort rank."""
-    return np.minimum(ranks // group_size, num_levels - 1) + 1
+def oaq_levels_for_ranks(ranks, group_size):
+    """Level index (1-based) assigned to each ascending-sort rank.
+
+    A rank r < n takes level r // m + 1, at most K, as in the multiset.
+    """
+    return ranks // group_size + 1
 
 
 def ordered_amplitude_quantize(amps, level_set):
@@ -448,7 +443,7 @@ def ordered_amplitude_quantize(amps, level_set):
     if not np.all(np.isfinite(a)) or np.any(a < 0):
         raise ValueError("amplitudes must be finite and non-negative")
     ranks = oaq_sort_ranks(a)
-    assignment = oaq_levels_for_ranks(ranks, level_set.group_size, level_set.num_levels)
+    assignment = oaq_levels_for_ranks(ranks, level_set.group_size)
     return level_set.levels[assignment - 1], assignment
 
 
@@ -537,16 +532,16 @@ class CandidateBasis:
             self._norms = norms
         return self._norms
 
-    def level_phase_offsets(self, level_set, phase_bits):
+    def level_phase_offsets(self, group_size, phase_bits):
         """Flat offset of entry [level - 1, phase index] in the H-APQ table.
 
-        The table is row-major, (levels, 2**phase_bits).  The level exponent
-        only changes its entries, so specs differing in it share the offsets.
+        The table is row-major, (levels, 2**phase_bits), and level - 1 is
+        rank // group_size.  The level exponent only changes its entries, so
+        specs differing in it share the offsets.
         """
-        key = (level_set.group_size, phase_bits)
+        key = (group_size, phase_bits)
         if key not in self._flat:
-            flat = oaq_levels_for_ranks(self.ranks(), level_set.group_size, level_set.num_levels)
-            flat -= 1
+            flat = self.ranks() // group_size
             flat *= 1 << phase_bits
             flat += self.phase_indices(phase_bits)
             self._flat[key] = flat
@@ -585,7 +580,7 @@ def candidate_relay_symbols(spec, basis):
     if spec.kind == HAPQ:
         bits = spec.phase_bits
         level_set = build_level_set(n_antennas, spec.group_size, spec.level_exponent)
-        offsets = basis.level_phase_offsets(level_set, bits)
+        offsets = basis.level_phase_offsets(spec.group_size, bits)
         if level_set.num_levels << bits <= _HAPQ_TABLE_ENTRIES:
             table = _hapq_tables(bits, spec.group_size, spec.level_exponent, n_antennas)
             return table.take(offsets)
@@ -731,8 +726,7 @@ def relay_state(received, spec):
     if spec.kind == UAPQ:
         bins = uapq_amplitude_bins(basis.amps(), basis.norms(), spec.amplitude_bits)
         return RelayState(spec, indices, amplitude_bins=tuple(bins.tolist()))
-    level_set = build_level_set(len(indices), spec.group_size, spec.level_exponent)
-    levels = oaq_levels_for_ranks(basis.ranks(), spec.group_size, level_set.num_levels)
+    levels = oaq_levels_for_ranks(basis.ranks(), spec.group_size)
     return RelayState(spec, indices, amplitude_assignment=tuple(levels.tolist()))
 
 
@@ -757,21 +751,11 @@ def relay_symbols_from_state(state):
 def oaq_codeword_count(n_antennas, group_size):
     """Number of distinct O-AQ amplitude assignments, computed exactly.
 
-    Equals n! / ((n - (K-1)m)! * (m!)**(K-1)) evaluated as a product of
-    binomials so every intermediate stays an integer.
+    The arrangements of the level multiset: n! over the product of each
+    level's multiplicity factorial, an exact integer division.
     """
-    _require_positive_int(n_antennas, "n_antennas")
-    if not isinstance(group_size, int) or not 1 <= group_size <= n_antennas:
-        raise ValueError(
-            f"group size m must be in 1..{n_antennas}, got {group_size!r}"
-        )
-    num_levels = -(-n_antennas // group_size)
-    count = 1
-    remaining = n_antennas
-    for _ in range(num_levels - 1):
-        count *= math.comb(remaining, group_size)
-        remaining -= group_size
-    return count
+    counts = Counter(oaq_level_multiset(n_antennas, group_size)).values()
+    return math.factorial(n_antennas) // math.prod(map(math.factorial, counts))
 
 
 def assignment_rank_bits(n_antennas, group_size):

@@ -24,7 +24,9 @@ from qfrelay.quantizers import (
     UPQ,
     QuantizerSpec,
     RelayState,
+    check_oaq_assignment,
     oaq_codeword_count,
+    oaq_level_multiset,
     quantizer_bits,
 )
 
@@ -77,6 +79,49 @@ def test_rank_rejects_bad_input():
         unrank_assignment(6, 4, 2)  # out of range
     with pytest.raises(ValueError):
         unrank_assignment(-1, 4, 2)
+
+
+# entries a stored or hand-built assignment may hold in place of a level
+_LEVEL_ENTRIES = st.one_of(
+    st.integers(-2, 12),
+    st.booleans(),
+    st.floats(allow_nan=True),
+    st.integers(1, 4).map(float),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_any_assignment_is_refused_or_round_trips(data):
+    # a valid arrangement with a few entries swapped for ints, bools or
+    # floats and its length perhaps changed: every public check refuses it
+    # with ValueError or TypeError, or all accept it and it round-trips
+    n_antennas = data.draw(st.integers(1, 9), label="n")
+    group_size = data.draw(st.integers(1, n_antennas), label="m")
+    assignment = list(data.draw(st.permutations(oaq_level_multiset(n_antennas, group_size))))
+    for _ in range(data.draw(st.integers(0, 2), label="swaps")):
+        assignment[data.draw(st.integers(0, n_antennas - 1))] = data.draw(_LEVEL_ENTRIES)
+    resize = data.draw(st.sampled_from([0, 0, 0, -1, 1]), label="resize")
+    assignment = tuple(assignment[:n_antennas + resize] + [1] * resize)
+    spec = QuantizerSpec(HAPQ, phase_bits=2, group_size=group_size)
+    checks = (
+        lambda: check_oaq_assignment(assignment, n_antennas, group_size),
+        lambda: rank_assignment(assignment, n_antennas, group_size),
+        lambda: RelayState(spec, (0,) * n_antennas, amplitude_assignment=assignment),
+    )
+    accepted = []
+    for check in checks:
+        try:
+            check()
+        except (ValueError, TypeError):
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    assert accepted in ([False] * 3, [True] * 3), (assignment, accepted)
+    if accepted[0]:
+        assert all(type(level) is int for level in assignment)
+        rank = rank_assignment(assignment, n_antennas, group_size)
+        assert unrank_assignment(rank, n_antennas, group_size) == assignment
 
 
 def test_rank_big_array_roundtrip():

@@ -102,7 +102,7 @@ def test_ber_rejects_a_candidate_count_above_the_cap(tmp_path, capsys):
 
 
 def test_ber_rejects_a_marginalized_block_above_the_cap(tmp_path, capsys):
-    # parsed only: one trial's 64-candidate block would take 256 MiB + 4 KiB
+    # parsed only: one trial's 16-candidate block would take 64 MiB + 1 KiB
     config = tmp_path / "wide.cfg"
     config.write_text(
         "n_s = 4\nn_r = 4\nn_d = 4\nM = 4\nsnr_db_grid = 0\n"
@@ -111,7 +111,7 @@ def test_ber_rejects_a_marginalized_block_above_the_cap(tmp_path, capsys):
     )
     assert main(["ber", str(config)]) == 1
     err = capsys.readouterr().err
-    assert "= 268439552 bytes exceeds the cap of 268435456" in err
+    assert "= 67109888 bytes exceeds the cap of 67108864" in err
 
 
 @pytest.mark.parametrize("detector", ["mismatched", "marginalized"])

@@ -179,8 +179,8 @@ def test_candidate_count_is_capped(tmp_path):
 
 
 def test_marginalized_block_stack_is_capped(tmp_path):
-    # parsed only: L * min(C, 64) * n_r * 16 bytes is 256 MiB at L = 65536
-    # for C = 4**4 and n_r = 4, the largest accepted
+    # parsed only: one block stack, L * min(C, 16) * n_r * 16 bytes, is
+    # 64 MiB at L = 65536 and n_r = 4, the largest accepted for C >= 16
     def with_samples(text, samples, detector="marginalized"):
         top = f"seed = 42\ndetector = {detector}\nmarginal_samples = {samples}\n"
         return text.replace("seed = 42\n", top)
@@ -189,15 +189,22 @@ def test_marginalized_block_stack_is_capped(tmp_path):
     assert parse_config(_write(tmp_path, at_cap)).marginal_samples == 65536
     over = with_samples(MINIMAL, 65537)
     message = (
-        f"marginalized block stack marginal_samples \\* min\\(C, 64\\) \\* n_r \\* 16 = "
-        f"{65537 * 64 * 4 * 16} bytes exceeds the cap of {MAX_MARGINAL_STACK_BYTES}"
+        f"marginalized block stack marginal_samples \\* min\\(C, 16\\) \\* n_r \\* 16 = "
+        f"{65537 * 16 * 4 * 16} bytes exceeds the cap of {MAX_MARGINAL_STACK_BYTES}"
     )
     with pytest.raises(ConfigValidationError, match=message):
         parse_config(_write(tmp_path, over))
-    # the block is min(C, 64) wide: with C = 16 four times the samples fit
-    small = with_samples(MINIMAL.replace("n_s = 4", "n_s = 2"), 262144)
-    assert parse_config(_write(tmp_path, small)).marginal_samples == 262144
-    # the mismatched detector never builds the block, so L does not bound it
+    # C = 16 fills the 16-candidate block: the same L is the largest accepted
+    c16 = MINIMAL.replace("n_s = 4", "n_s = 2")
+    assert parse_config(_write(tmp_path, with_samples(c16, 65536))).marginal_samples == 65536
+    with pytest.raises(ConfigValidationError, match=message):
+        parse_config(_write(tmp_path, with_samples(c16, 65537)))
+    # C = 4 is a 4-candidate block, so four times the samples fit
+    c4 = MINIMAL.replace("n_s = 4", "n_s = 1")
+    assert parse_config(_write(tmp_path, with_samples(c4, 262144))).marginal_samples == 262144
+    with pytest.raises(ConfigValidationError, match="exceeds the cap"):
+        parse_config(_write(tmp_path, with_samples(c4, 262145)))
+    # the mismatched detector draws no relay-noise samples, so L does not bound it
     mismatched = with_samples(MINIMAL, 65537, detector="mismatched")
     assert parse_config(_write(tmp_path, mismatched)).detector == "mismatched"
 

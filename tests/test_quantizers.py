@@ -18,8 +18,10 @@ from qfrelay.quantizers import (
     af_relay_symbols,
     amplitude_bin,
     build_level_set,
+    check_oaq_assignment,
     hapq_relay_symbols,
     oaq_codeword_count,
+    oaq_level_multiset,
     oaq_levels_for_ranks,
     oaq_sort_ranks,
     ordered_amplitude_quantize,
@@ -288,6 +290,50 @@ def test_level_set_rejects_bad_group():
             build_level_set(4, bad)
 
 
+def _closed_form_level_set(n_antennas, group_size, exponent):
+    """Levels and spacing from K = ceil(n/m), m antennas per lower level."""
+    num_levels = -(-n_antennas // group_size)
+    last = n_antennas - (num_levels - 1) * group_size
+    weight = group_size * sum(k**exponent for k in range(1, num_levels))
+    weight += last * num_levels**exponent
+    spacing = 1.0 / math.sqrt(weight)
+    return spacing * np.arange(1, num_levels + 1, dtype=float) ** (0.5 * exponent), spacing
+
+
+def test_grouping_read_from_the_multiset_is_bitwise_the_closed_form():
+    for n_antennas in range(1, 65):
+        for group_size in range(1, n_antennas + 1):
+            pool = oaq_level_multiset(n_antennas, group_size)
+            assert oaq_levels_for_ranks(np.arange(n_antennas), group_size).tolist() == list(pool)
+            num_levels = -(-n_antennas // group_size)
+            count = math.prod(
+                math.comb(n_antennas - k * group_size, group_size) for k in range(num_levels - 1)
+            )
+            assert oaq_codeword_count(n_antennas, group_size) == count
+            for exponent in (1, 2, 3, 4):
+                ls = build_level_set(n_antennas, group_size, exponent)
+                levels, spacing = _closed_form_level_set(n_antennas, group_size, exponent)
+                assert ls.num_levels == num_levels
+                assert ls.spacing == spacing
+                assert ls.levels.tobytes() == levels.tobytes()
+
+
+@pytest.mark.parametrize("n_antennas,group_size",
+                         [(0, 1), (4, 0), (4, 5), (4, True), (4, 2.0), (-1, 1), (True, 1)])
+def test_invalid_groupings_raise_value_error(n_antennas, group_size):
+    # the valid groupings sharing a cache key by equality are built first
+    for n, m in ((4, 1), (4, 2), (1, 1)):
+        build_level_set(n, m)
+    with pytest.raises(ValueError):
+        oaq_level_multiset(n_antennas, group_size)
+    with pytest.raises(ValueError):
+        check_oaq_assignment((1, 1, 2, 2), n_antennas, group_size)
+    with pytest.raises(ValueError):
+        oaq_codeword_count(n_antennas, group_size)
+    with pytest.raises(ValueError):
+        build_level_set(n_antennas, group_size)
+
+
 # ---------------------------------------------------------------------------
 # Ordered amplitude quantization
 # ---------------------------------------------------------------------------
@@ -405,8 +451,8 @@ def test_oaq_rank_paths_agree():
         )
         assert np.array_equal(small_path, ranks)
         assert np.array_equal(
-            oaq_levels_for_ranks(small_path, 2, -(-n // 2)),
-            oaq_levels_for_ranks(ranks, 2, -(-n // 2)),
+            oaq_levels_for_ranks(small_path, 2),
+            oaq_levels_for_ranks(ranks, 2),
         )
 
 
