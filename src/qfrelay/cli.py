@@ -86,7 +86,6 @@ def _cmd_bits(args):
     for spec in specs:
         if spec.kind == AF:
             raise UsageError("AF has no finite bit count; pick a quantizing spec")
-        spec.validate_for(args.nr_min)
     rows = memory_report(range(args.nr_min, args.nr_max + 1), specs)
     with _output(args.out) as stream:
         write_memory_csv(rows, stream)

@@ -44,7 +44,7 @@ import os
 
 from .channel import snr_db_to_sigma2
 from .codebook import SUPPORTED_ALPHABETS
-from .engine import DETECTORS, MARGINAL_BLOCK, trial_product_bytes
+from .engine import DETECTORS, MARGINAL_BLOCK, _block_stack_bytes, trial_product_bytes
 from .quantizers import KINDS, PARAM_KEYS, QuantizerSpec
 
 
@@ -137,8 +137,7 @@ class SweepConfig:
                 f"the cap of {MAX_PRODUCT_BYTES}"
             )
         if self.detector == "marginalized":
-            width = min(candidates, MARGINAL_BLOCK)
-            stack = self.marginal_samples * width * self.n_relay * 16
+            stack = _block_stack_bytes(candidates, self.n_relay, self.marginal_samples)
             if stack > MAX_MARGINAL_STACK_BYTES:
                 raise ConfigValidationError(
                     f"marginalized block stack marginal_samples * min(C, {MARGINAL_BLOCK}) * n_r"

@@ -14,14 +14,17 @@ matrices and the relay's quantization method.  The mismatched detector
 scores each candidate message with the noiseless-relay surrogate; the
 marginalized detector averages the relay-noise likelihood over shared
 Monte Carlo samples (common random numbers across candidates) and serves
-as the near-optimal oracle.  Both pick their candidate by one block search
-(:func:`block_picks`) that scores candidates in blocks, 64 (mismatched) or
-16 (marginalized) at a time, in order of their SD term and stops once no
-unscored one can win; the pick is exactly the argmin of the full metrics,
-which :func:`mismatched_metrics` computes, or the argmax of the full
-scores, which :func:`marginalized_scores` computes.  The single-trial
-reference takes that argmin or argmax directly, so it checks the search
-rather than sharing it.
+as the near-optimal oracle.  Both scorers return a score, higher being
+better, whose SD part is -dSD/weight (weight 1 or sigma2); the mismatched
+score is the exactly negated metric.  Both detectors pick their candidate
+by one block search (:func:`block_picks`) that maximizes that score over
+candidates in blocks, 64 (mismatched) or 16 (marginalized) at a time, in
+order of their SD part and stops once no unscored one can win; the pick
+is exactly the argmin of the full metrics, which
+:func:`mismatched_metrics` computes, or the argmax of the full scores,
+which :func:`marginalized_scores` computes.  The single-trial reference
+takes that argmin or argmax directly, so it checks the search rather than
+sharing it.
 """
 
 from __future__ import annotations
@@ -75,70 +78,54 @@ def _candidate_products(h_sd, h_sr, codewords):
     return sd_cands, relay_in
 
 
-def _terms(sd_term, relay_in, noise):
-    """The SD term and the candidate basis of (B, C, N_R) relay inputs.
+def _candidate_terms(y_sd, h_sd, h_sr, codewords, weight):
+    """The SD part of every candidate's score and the relay inputs.
+
+    Returns the (B, C) SD part -dSD/weight and the (B, C, N_R) relay-input
+    candidates.  ``weight`` is sigma2 for the marginalized detector and 1.0
+    for the mismatched one, where dividing by -1.0 is an exact negation.
+    """
+    sd_cands, relay_in = _candidate_products(h_sd, h_sr, codewords)
+    return _sq_dists(y_sd, sd_cands) / -weight, relay_in
+
+
+def _terms(sd_part, relay_in, noise):
+    """The SD part and the candidate basis of (B, C, N_R) relay inputs.
 
     Without relay-noise samples (``noise`` is None) the basis holds the
     noiseless relay inputs; with samples of shape (B, L, N_R) it holds the
     noisy (B, L, C, N_R) stack.
     """
-    if noise is None:
-        return sd_term, CandidateBasis(relay_in)
-    return sd_term, CandidateBasis(relay_in[:, None, :, :] + noise[:, :, None, :])
+    stack = relay_in if noise is None else relay_in[:, None, :, :] + noise[:, :, None, :]
+    return sd_part, CandidateBasis(stack)
 
 
-def _block_terms(sd_term, relay_in, noise, rows, cols):
-    """Shared terms of the candidates ``cols`` of trials ``rows``.
+def _score_mismatched(terms, spec, h_rd, y_rd, sigma2):
+    """(B, C) scores of the mismatched detector; higher is better.
 
-    ``cols`` (b, w) holds candidate indices of the b trials ``rows`` of the
-    (B, C) SD term, the (B, C, N_R) relay inputs and, when marginalizing,
-    the (B, L, N_R) noise samples.  The gathers copy exact values, so the
-    block's scores equal the full row's at those candidates bit for bit.
+    The SD part -dSD less the squared RD distance against the
+    noiseless-relay surrogate of each message.  Round-to-nearest is
+    sign-symmetric, so this is exactly the negated metric -(dSD + dRD).
+    The common 1/sigma2 weight cancels, so ``sigma2`` is unused.
     """
-    gather = rows[:, None], cols
-    return _terms(sd_term[gather], relay_in[gather], None if noise is None else noise[rows])
-
-
-def _shared_terms(y_sd, h_sd, h_sr, codewords, sigma2, noise):
-    """What every spec of a batch shares: the SD term and the candidate basis.
-
-    Without relay-noise samples (``noise`` is None) this is the mismatched
-    detector's squared SD distance and the noiseless relay-input basis.
-    With samples of shape (B, L, N_R) it is the marginalized detector's
-    -dSD/sigma2 and the basis of the noisy (B, L, C, N_R) stack.
-    """
-    sd_cands, relay_in = _candidate_products(h_sd, h_sr, codewords)
-    sd_term = _sq_dists(y_sd, sd_cands)
-    if noise is not None:
-        sd_term = sd_term / -sigma2
-    return _terms(sd_term, relay_in, noise)
-
-
-def _score_mismatched(shared, spec, h_rd, y_rd, sigma2):
-    """(B, C) metrics of the mismatched detector; lower is better.
-
-    Squared SD distance plus squared RD distance against the noiseless-relay
-    surrogate of each message.  The common 1/sigma2 weight cancels, so
-    ``sigma2`` is unused.
-    """
-    sd_term, basis = shared
+    sd_part, basis = terms
     relay_cands = basis.held = candidate_relay_symbols(spec, basis)
     rd_cands = h_rd @ relay_cands.transpose(0, 2, 1)  # (B, N_D, C)
-    return sd_term + _sq_dists(y_rd, rd_cands)
+    return sd_part - _sq_dists(y_rd, rd_cands)
 
 
-def _score_marginalized(shared, spec, h_rd, y_rd, sigma2):
+def _score_marginalized(terms, spec, h_rd, y_rd, sigma2):
     """(B, C) scores of the marginalized detector; higher is better.
 
-    -dSD/sigma2 plus a stable log-sum-exp of -dRD/sigma2 over the shared
-    relay-noise samples.
+    The SD part -dSD/sigma2 plus a stable log-sum-exp of -dRD/sigma2 over
+    the shared relay-noise samples.
     """
-    sd_term, basis = shared
+    sd_part, basis = terms
     relay_cands = basis.held = candidate_relay_symbols(spec, basis)
     rd_cands = h_rd[:, None] @ relay_cands.transpose(0, 1, 3, 2)  # (B, L, N_D, C)
     rd_scores = _sq_dists(y_rd[:, None, :], rd_cands) / -sigma2  # (B, L, C)
     peak = rd_scores.max(axis=1, keepdims=True)
-    return sd_term + (peak[:, 0, :] + np.log(np.exp(rd_scores - peak).sum(axis=1)))
+    return sd_part + (peak[:, 0, :] + np.log(np.exp(rd_scores - peak).sum(axis=1)))
 
 
 def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
@@ -149,55 +136,49 @@ def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
     the :func:`mismatched_metrics` row; with the (B, L, N_R) relay-noise
     samples it is the marginalized one, and the pick is ``argmax`` of the
     :func:`marginalized_scores` row.  Equal optima go to the smallest
-    index.  The search maximizes a score: the marginalized score, or the
-    negated mismatched metric, negation being exact.  Each trial's
+    index.  The search maximizes the score both scorers return, the
+    mismatched one being the exactly negated metric.  Each trial's
     candidates are taken in blocks of ``MARGINAL_BLOCK`` or
-    ``MISMATCHED_BLOCK`` in descending order of their SD part of the score
-    (-dSD/sigma2, or -dSD), and most of them are never scored; a later block
-    replaces the running best only with a strictly higher score, or an equal
-    one at a smaller index.
+    ``MISMATCHED_BLOCK`` in descending order of their SD part of the score,
+    s(c) = -dSD/weight with weight sigma2 (marginalized) or 1 (mismatched),
+    and most of them are never scored; a later block replaces the running
+    best only with a strictly higher score, or an equal one at a smaller
+    index.
 
-    The bound.  Write s(c) for a candidate's SD part of the score: -dSD
-    (mismatched) or -dSD/sigma2 (marginalized).  dRD = |c|^2 - 2 Re(y^H c)
-    + |y|^2 is exactly ||y - c||^2 >= 0; the relay vector x has unit power,
-    so |c| <= ||H_rd||_F and the rounding of that expansion over N_D terms
-    stays below
+    The bound.  dRD = |c|^2 - 2 Re(y^H c) + |y|^2 is exactly ||y - c||^2
+    >= 0; the relay vector x has unit power, so |c| <= ||H_rd||_F and the
+    rounding of that expansion over N_D terms stays below
 
-        delta = (N_D + 4) 2**-50 (||H_rd||_F + ||y_rd||)**2.
+        delta = (N_D + 4) 2**-50 (||H_rd||_F + ||y_rd||)**2 / weight.
 
-    Mismatched: a score is -(dSD + dRD) <= s(c) + delta.  Marginalized: a
+    Mismatched: a score is -dSD - dRD <= s(c) + delta.  Marginalized: a
     score is s(c) + peak + log(sum_l exp(r_l - peak)), where r_l =
     -dRD_l/sigma2 and peak = max_l r_l.  Each summand is at most 1 and the
     peak's is exactly 1, so the rounded sum is at most L and the log term
-    about log L, while r_l, hence peak, is at most delta/sigma2.  Every
-    score is thus at most s(c) + gap + delta, with gap = 0 (mismatched), or
-    gap = log L and delta/sigma2 in place of delta (marginalized), up to
-    the rounding of the final additions, which slack = 2**-50 (|s(next)| +
-    |best| + gap + delta) covers.  Once s(next) + gap + delta + slack <
-    best, where s(next) is the trial's highest SD part not yet scored, no
-    unscored candidate reaches the running best and the (spec, trial) pair
-    stops.  At high SNR the marginalized delta grows and the search scores
-    more blocks; it never changes a pick.
+    about log L, while r_l, hence peak, is at most delta.  Every score is
+    thus at most s(c) + gap + delta, with gap = 0 (mismatched) or log L
+    (marginalized), up to the rounding of the final additions, which
+    slack = 2**-50 (|s(next)| + |best| + gap + delta) covers.  Once s(next)
+    + gap + delta + slack < best, where s(next) is the trial's highest SD
+    part not yet scored, no unscored candidate reaches the running best and
+    the (spec, trial) pair stops.  At high SNR the marginalized delta grows
+    and the search scores more blocks; it never changes a pick.
     """
-    sd_cands, relay_in = _candidate_products(h_sd, h_sr, codewords)
-    sd_term = _sq_dists(y_sd, sd_cands)
-    del sd_cands  # the SD term and the relay inputs are all the rounds read
-    h_norm = np.linalg.norm(h_rd, axis=(1, 2))
-    y_norms = np.linalg.norm(np.stack(y_rds), axis=-1)  # (len(specs), B)
-    delta = (h_rd.shape[1] + 4) * 2.0**-50 * (h_norm + y_norms) ** 2
     if noise is None:
-        score, width, gap = _score_mismatched, MISMATCHED_BLOCK, 0.0
-        key = -sd_term  # s(c)
+        score, width, gap, weight = _score_mismatched, MISMATCHED_BLOCK, 0.0, 1.0
     else:
-        score, width, gap = _score_marginalized, MARGINAL_BLOCK, math.log(noise.shape[1])
-        key = sd_term = sd_term / -sigma2
-        delta /= sigma2
-    batch, n_cand = sd_term.shape
+        score, width, gap, weight = (_score_marginalized, MARGINAL_BLOCK,
+                                     math.log(noise.shape[1]), sigma2)
+    sd_part, relay_in = _candidate_terms(y_sd, h_sd, h_sr, codewords, weight)
+    # (len(specs), B): ||H_rd||_F + ||y_rd|| per spec and trial
+    norms = np.linalg.norm(h_rd, axis=(1, 2)) + np.linalg.norm(np.stack(y_rds), axis=-1)
+    delta = (h_rd.shape[1] + 4) * 2.0**-50 * norms**2 / weight
+    batch, n_cand = sd_part.shape
     width = min(n_cand, width)
     if n_cand > width:
-        order = np.argsort(-key, axis=-1, kind="stable")
+        order = np.argsort(-sd_part, axis=-1, kind="stable")
     else:
-        order = np.broadcast_to(np.arange(n_cand), sd_term.shape)
+        order = np.broadcast_to(np.arange(n_cand), sd_part.shape)
     best = np.full((len(specs), batch), -np.inf)
     picks = np.full((len(specs), batch), n_cand)
     pending = np.ones((len(specs), batch), dtype=bool)
@@ -206,15 +187,17 @@ def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
         if not active.size:
             break
         cols = order[active, start:start + width]
-        shared = _block_terms(sd_term, relay_in, noise, active, cols)
+        # the gathers copy exact values, so a block scores bit for bit as
+        # the full row does at its candidates
+        gather = active[:, None], cols
+        terms = _terms(sd_part[gather], relay_in[gather],
+                       None if noise is None else noise[active])
         h_rd_active = h_rd[active]
         for row, (spec, y_rd) in enumerate(zip(specs, y_rds)):
             live = pending[row, active]
             if not live.any():
                 continue
-            scores = score(shared, spec, h_rd_active, y_rd[active], sigma2)
-            if noise is None:
-                np.negative(scores, out=scores)
+            scores = score(terms, spec, h_rd_active, y_rd[active], sigma2)
             top = scores.max(axis=1)
             index = np.where(scores == top[:, None], cols, n_cand).min(axis=1)
             was = best[row, active]
@@ -222,9 +205,9 @@ def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
             best[row, active[better]] = top[better]
             picks[row, active[better]] = index[better]
         if start + width < n_cand:
-            key_next = key[active, order[active, start + width]]
-            reach = key_next + gap + delta[:, active]
-            reach += 2.0**-50 * (np.abs(key_next) + np.abs(best[:, active]) + gap
+            s_next = sd_part[active, order[active, start + width]]
+            reach = s_next + gap + delta[:, active]
+            reach += 2.0**-50 * (np.abs(s_next) + np.abs(best[:, active]) + gap
                                  + delta[:, active])
             pending[:, active] &= reach >= best[:, active]
     return picks
@@ -237,10 +220,12 @@ def mismatched_metrics(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec):
     """Reference per-candidate metric of the mismatched detector.
 
     Returns an array of shape (C,): squared SD distance plus squared RD
-    distance against the noiseless-relay surrogate of each message.
+    distance against the noiseless-relay surrogate of each message; lower
+    is better.  It is the exact negation of the mismatched score, taken as
+    0.0 - score so that a zero reads +0.0, as dSD + dRD rounds it.
     """
-    shared = _shared_terms(y_sd[None], h_sd[None], h_sr[None], codewords, None, None)
-    return _score_mismatched(shared, spec, h_rd[None], y_rd[None], None)[0]
+    terms = _terms(*_candidate_terms(y_sd[None], h_sd[None], h_sr[None], codewords, 1.0), None)
+    return 0.0 - _score_mismatched(terms, spec, h_rd[None], y_rd[None], None)[0]
 
 
 def marginalized_scores(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec, sigma2, noise):
@@ -250,10 +235,9 @@ def marginalized_scores(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec, sigma2, n
     score of each candidate is -dSD/sigma2 plus a stable log-sum-exp of
     -dRD/sigma2 over the samples; higher is better.
     """
-    shared = _shared_terms(
-        y_sd[None], h_sd[None], h_sr[None], codewords, sigma2, noise[None]
-    )
-    return _score_marginalized(shared, spec, h_rd[None], y_rd[None], sigma2)[0]
+    terms = _terms(*_candidate_terms(y_sd[None], h_sd[None], h_sr[None], codewords, sigma2),
+                   noise[None])
+    return _score_marginalized(terms, spec, h_rd[None], y_rd[None], sigma2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +291,24 @@ def trial_product_bytes(n_candidates, n_relay, n_dest):
     return n_candidates * max(n_relay, n_dest) * np.dtype(complex).itemsize
 
 
+def _block_stack_bytes(n_candidates, n_relay, marginal_samples):
+    """Bytes of one trial's marginalized block stack, (L, block, N_R) complex.
+
+    block = min(C, ``MARGINAL_BLOCK``) candidates and L =
+    ``marginal_samples``; at L = 0 (the mismatched detector) it is 0.
+    """
+    block = min(n_candidates, MARGINAL_BLOCK)
+    return marginal_samples * block * n_relay * np.dtype(complex).itemsize
+
+
 def _batch_size(n_candidates, n_relay, n_dest, marginal_samples):
     """Trials per batch whose largest per-trial array fits the byte budget, at least 1.
 
-    That array is the full-C products or, when marginalizing, the (L, block,
-    N_R) complex stack of one round, block = min(C, ``MARGINAL_BLOCK``).  A
-    mismatched round's (min(C, ``MISMATCHED_BLOCK``), N_R) stack never
-    outgrows the products.
+    That array is the full-C products or, when marginalizing, the
+    :func:`_block_stack_bytes` stack of one round.  A mismatched round's
+    (min(C, ``MISMATCHED_BLOCK``), N_R) stack never outgrows the products.
     """
-    block = marginal_samples * min(n_candidates, MARGINAL_BLOCK) * n_relay
-    stack = block * np.dtype(complex).itemsize
+    stack = _block_stack_bytes(n_candidates, n_relay, marginal_samples)
     products = trial_product_bytes(n_candidates, n_relay, n_dest)
     return max(1, _CANDIDATE_STACK_BUDGET // max(stack, products))
 
@@ -332,6 +324,11 @@ def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
     """
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
+    sizes = {"marginal_samples": marginal_samples,
+             "batch_size": 1 if batch_size is None else batch_size}
+    for name, value in sizes.items():
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be a positive int, got {value!r}")
     for spec in specs:
         spec.validate_for(n_relay)
     codebook = build_codebook(alphabet, n_source)

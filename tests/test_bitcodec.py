@@ -229,6 +229,21 @@ def test_payload_value_is_checked():
     assert decode_relay_state(widest) == RelayState(spec=spec, phase_indices=(255, 255))
 
 
+def test_encode_rechecks_an_assignment_changed_after_construction():
+    # RelayState keeps the sequence it is given, so a list it validated can
+    # change before encode; encode's own check is then the only guard.
+    # Without it this state would encode as rank 0 and decode to (1, 1, 2, 2)
+    levels = [1, 2, 1, 2]
+    spec = QuantizerSpec(HAPQ, phase_bits=2, group_size=2)
+    state = RelayState(spec=spec, phase_indices=(0, 1, 2, 3), amplitude_assignment=levels)
+    restored = decode_relay_state(encode_relay_state(state))
+    assert tuple(restored.amplitude_assignment) == (1, 2, 1, 2)
+    levels[:] = [1, 1, 1, 1]
+    message = r"level multiplicities \[4, 0\] violate the O-AQ grouping \[2, 2\]"
+    with pytest.raises(ValueError, match=message):
+        encode_relay_state(state)
+
+
 def test_hapq_of_full_group_has_no_rank_bits():
     spec = QuantizerSpec(HAPQ, phase_bits=3, group_size=4)
     state = RelayState(

@@ -163,6 +163,18 @@ def test_bits_rejects_af():
     assert main(["bits", "--nr-min", "2", "--nr-max", "4", "--spec", "AF"]) == 1
 
 
+def test_bits_rejects_a_spec_wider_than_nr_min(tmp_path, capsys):
+    # memory_report checks every spec at every n_r before anything is written
+    out_path = tmp_path / "bits.csv"
+    code = main(["bits", "--nr-min", "2", "--nr-max", "4", "--spec", "HAPQ:qbar=4,m=4",
+                 "--out", str(out_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "qfrelay: numeric error: H-APQ group size m=4 exceeds antenna count 2\n"
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 def test_bits_rejects_bad_range():
     assert main(["bits", "--nr-min", "5", "--nr-max", "4", "--spec", "UPQ:q=8"]) == 1
 

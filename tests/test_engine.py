@@ -158,6 +158,13 @@ def test_engine_counts_equal_reference_trials(detector, samples, snr_db):
         assert int(batched[0]) == reference, (spec.label(), detector, snr_db)
 
 
+def _scorer(detector, sigma2):
+    """A detector's batched scorer and the weight of its SD part -dSD/weight."""
+    if detector == "mismatched":
+        return engine._score_mismatched, 1.0
+    return engine._score_marginalized, sigma2
+
+
 @pytest.mark.parametrize("detector", ["mismatched", "marginalized"])
 def test_batched_scores_equal_reference_scores_bitwise(detector):
     # every score, not only the decision it leads to, must match the
@@ -168,17 +175,18 @@ def test_batched_scores_equal_reference_scores_bitwise(detector):
     sent, h_sr, h_sd, h_rd, y_sr, y_sd, z_rd, noise = engine._draw_batch(
         2, 4, 3, codebook, sigma2, 77, 1, range(13), samples
     )
-    score = {"mismatched": engine._score_mismatched,
-             "marginalized": engine._score_marginalized}[detector]
-    shared = engine._shared_terms(y_sd, h_sd, h_sr, codebook.codewords, sigma2, noise)
+    score, weight = _scorer(detector, sigma2)
+    candidates = engine._candidate_terms(y_sd, h_sd, h_sr, codebook.codewords, weight)
+    terms = engine._terms(*candidates, noise)
     for spec in SPECS:
         y_rd = _matvec(h_rd, relay_symbols(y_sr, spec)) + z_rd
-        batched = score(shared, spec, h_rd, y_rd, sigma2)
+        batched = score(terms, spec, h_rd, y_rd, sigma2)
         for row in range(len(sent)):
             args = (y_sd[row], y_rd[row], h_sd[row], h_sr[row], h_rd[row],
                     codebook.codewords, spec)
             if detector == "mismatched":
-                alone = engine.mismatched_metrics(*args)
+                # the search's score is the exactly negated reference metric
+                alone = -engine.mismatched_metrics(*args)
             else:
                 alone = engine.marginalized_scores(*args, sigma2, noise[row])
             assert np.array_equal(batched[row], alone), (spec.label(), row)
@@ -213,6 +221,31 @@ def test_engine_shared_evaluation_equals_isolated():
 def test_engine_rejects_bad_detector():
     with pytest.raises(ValueError):
         count_errors(4, 4, 4, 4, SPECS[:1], 0.0, 0, 0, 0, 10, detector="bogus")
+
+
+@pytest.mark.parametrize("name, value, detector", [
+    # without the check, L = 0 ran the mismatched detector instead
+    ("marginal_samples", 0, "marginalized"),
+    ("marginal_samples", -1, "marginalized"),
+    ("marginal_samples", 2.0, "marginalized"),
+    ("marginal_samples", 0, "mismatched"),
+    # without the check, -3 counted no trial and 0 failed inside range()
+    ("batch_size", -3, "mismatched"),
+    ("batch_size", 0, "mismatched"),
+    ("batch_size", 4.0, "marginalized"),
+])
+def test_engine_rejects_bad_sizes(name, value, detector):
+    with pytest.raises(ValueError, match=f"{name} must be a positive int, got {value!r}"):
+        count_errors(4, 4, 4, 4, SPECS[:1], 4.0, 0, 0, 0, 20, detector=detector,
+                     **{name: value})
+
+
+def test_engine_takes_numpy_int_sizes():
+    base = count_errors(4, 4, 4, 4, SPECS[:2], 4.0, 0, 0, 0, 20, detector="marginalized",
+                        marginal_samples=3, batch_size=7)
+    again = count_errors(4, 4, 4, 4, SPECS[:2], 4.0, 0, 0, 0, 20, detector="marginalized",
+                         marginal_samples=np.int64(3), batch_size=np.int32(7))
+    assert np.array_equal(base, again)
 
 
 def _draws_trial_by_trial(n_source, n_relay, n_dest, codebook, sigma2, seed,
@@ -311,9 +344,9 @@ def test_mismatched_search_picks_the_argmin_of_the_full_metrics(n_source):
 
 
 def _assert_search_finds_adversarial_winners(detector, scores, monkeypatch):
-    """The search maximizes a score: the marginalized score, or the negated
-    mismatched metric.  A score is at most its SD part plus a gap, log L or
-    0, and the search relies on no more than that.  Synthetic scores below
+    """The search maximizes the score each detector's scorer returns.  A
+    score is at most its SD part plus a gap, log L or 0, and the search
+    relies on no more than that.  Synthetic scores below
     that bound make the search find: the candidate of lowest SD part,
     exactly at its bound, when scores fall as the SD part rises ("deep");
     the first candidate of the second block, at exactly its bound and one
@@ -325,22 +358,21 @@ def _assert_search_finds_adversarial_winners(detector, scores, monkeypatch):
     samples, snr_db = (64, -30.0) if detector == "marginalized" else (0, 10.0)
     codebook, sigma2, arrays, y_rds = _search_draws(4, samples, snr_db, 14)
     y_sd, h_sd, h_sr, h_rd, noise = arrays
-    sd_cands, _ = engine._candidate_products(h_sd, h_sr, codebook.codewords)
+    scorer, weight = _scorer(detector, sigma2)
     if detector == "mismatched":
-        sign, gap, width, name = -1.0, 0.0, engine.MISMATCHED_BLOCK, "_score_mismatched"
-        sd_term = engine._sq_dists(y_sd, sd_cands)
+        gap, width = 0.0, engine.MISMATCHED_BLOCK
     else:
-        sign, gap, width, name = 1.0, math.log(64), engine.MARGINAL_BLOCK, "_score_marginalized"
-        sd_term = engine._sq_dists(y_sd, sd_cands) / -sigma2
-    key = sign * sd_term  # the SD part of the search's score
-    in_order = np.sort(key, axis=-1)[:, ::-1]
+        gap, width = math.log(64), engine.MARGINAL_BLOCK
+    # the SD part of the search's score
+    sd_part, _ = engine._candidate_terms(y_sd, h_sd, h_sr, codebook.codewords, weight)
+    in_order = np.sort(sd_part, axis=-1)[:, ::-1]
     # each trial's RD row carries its SD parts to the synthetic scorer
     carrier = np.zeros_like(y_rds[0])
     carrier[:, 0] = in_order[:, 0] + 1j * in_order[:, -1]
     carrier[:, 1] = in_order[:, width]
 
-    def synthetic(shared, spec, h_rd, y_rd, sigma2):
-        part = sign * shared[0]
+    def synthetic(terms, spec, h_rd, y_rd, sigma2):
+        part = terms[0]
         top, bottom, edge = y_rd[:, :1].real, y_rd[:, :1].imag, y_rd[:, 1:2].real
         if scores == "deep":
             score = 2.0 * bottom + gap - part
@@ -349,15 +381,15 @@ def _assert_search_finds_adversarial_winners(detector, scores, monkeypatch):
             score = np.where(part == edge, edge + gap, below)
         else:
             score = np.broadcast_to(bottom + gap, part.shape)
-        return sign * score
+        return score
 
-    monkeypatch.setattr(engine, name, synthetic)
-    want = (sign * synthetic((sd_term,), None, None, carrier, None)).argmax(axis=-1)
+    monkeypatch.setattr(engine, scorer.__name__, synthetic)
+    want = synthetic((sd_part,), None, None, carrier, None).argmax(axis=-1)
     got = engine.block_picks(y_sd, [carrier] * len(SPECS), h_sd, h_sr, h_rd,
                              codebook.codewords, SPECS, sigma2, noise)
     assert np.array_equal(got, np.broadcast_to(want, got.shape))
     # the case is only adversarial if winners lie beyond the first block
-    rank = np.argsort(np.argsort(-key, axis=-1, kind="stable"), axis=-1)
+    rank = np.argsort(np.argsort(-sd_part, axis=-1, kind="stable"), axis=-1)
     assert (rank[np.arange(len(want)), want] >= width).sum() >= 7
 
 
@@ -378,18 +410,19 @@ def test_gathered_block_scores_equal_the_full_row_bitwise():
     for detector, samples in (("mismatched", 0), ("marginalized", 64)):
         codebook, sigma2, arrays, y_rds = _search_draws(4, samples, 6.0, 5, seed=9)
         y_sd, h_sd, h_sr, h_rd, noise = arrays
-        score = {"mismatched": engine._score_mismatched,
-                 "marginalized": engine._score_marginalized}[detector]
-        full_terms = engine._shared_terms(y_sd, h_sd, h_sr, codebook.codewords, sigma2, noise)
-        sd_term = full_terms[0]
-        _, relay_in = engine._candidate_products(h_sd, h_sr, codebook.codewords)
-        order = np.argsort(-sd_term, axis=-1, kind="stable")
+        score, weight = _scorer(detector, sigma2)
+        sd_part, relay_in = engine._candidate_terms(
+            y_sd, h_sd, h_sr, codebook.codewords, weight)
+        full_terms = engine._terms(sd_part, relay_in, noise)
+        order = np.argsort(-sd_part, axis=-1, kind="stable")
         blocks = [cols[:, start:start + width] for width in (16, 64)
                   for cols in (order, shuffled) for start in range(0, 256, width)]
         for spec, y_rd in zip(SPECS, y_rds):
             full = score(full_terms, spec, h_rd, y_rd, sigma2)
             for cols in blocks:
-                terms = engine._block_terms(sd_term, relay_in, noise, np.arange(5), cols)
+                # block_picks's gather of the block's candidates
+                gather = np.arange(5)[:, None], cols
+                terms = engine._terms(sd_part[gather], relay_in[gather], noise)
                 block = score(terms, spec, h_rd, y_rd, sigma2)
                 want = np.take_along_axis(full, cols, axis=1)
                 assert block.tobytes() == want.tobytes(), (detector, spec.label())
@@ -399,15 +432,16 @@ def _scored_share(detector, samples, snr_db, monkeypatch):
     """Share of a 32-trial batch's candidates that one search over SPECS
     gathers, at C = 256."""
     scored = []
-    real = engine._block_terms
+    real = engine._terms
 
-    def counted(sd_term, relay_in, noise, rows, cols):
-        scored.append(cols.size)
-        return real(sd_term, relay_in, noise, rows, cols)
+    def counted(sd_part, relay_in, noise):
+        # block_picks builds each block's basis once, from its gathered SD parts
+        scored.append(sd_part.size)
+        return real(sd_part, relay_in, noise)
 
     codebook, sigma2, arrays, y_rds = _search_draws(4, samples, snr_db, 32)
     y_sd, h_sd, h_sr, h_rd, noise = arrays
-    monkeypatch.setattr(engine, "_block_terms", counted)
+    monkeypatch.setattr(engine, "_terms", counted)
     engine.block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codebook.codewords,
                        SPECS, sigma2, noise)
     return sum(scored) / (32 * 256)
