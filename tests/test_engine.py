@@ -346,12 +346,12 @@ def test_mismatched_search_picks_the_argmin_of_the_full_metrics(n_source):
 def _assert_search_finds_adversarial_winners(detector, scores, monkeypatch):
     """The search maximizes the score each detector's scorer returns.  A
     score is at most its SD part plus a gap, log L or 0, and the search
-    relies on no more than that.  Synthetic scores below
-    that bound make the search find: the candidate of lowest SD part,
-    exactly at its bound, when scores fall as the SD part rises ("deep");
-    the first candidate of the second block, at exactly its bound and one
-    ulp above the best of the first ("edge"); and the smallest index,
-    wherever the SD order puts it, when all tie ("tied")."""
+    relies on no more than that.  Synthetic scores below that bound make
+    the search find: the candidate of lowest SD part, exactly at its bound,
+    when scores fall as the SD part rises ("deep"); the first candidate of
+    the second block, at exactly its bound and one ulp above the best of
+    the first ("edge"); and the smallest index, wherever the SD order puts
+    it, when all tie ("tied")."""
     # the mismatched delta grows with the squared SD parts the carrier
     # holds: at 10 dB it stays below 2e-11, so a bound short by 1e-9 fails
     # "edge"
