@@ -56,7 +56,8 @@ from .quantizers import (
 _SPEC_TAGS = {UPQ: 1, UAPQ: 2, HAPQ: 3}
 _TAG_KINDS = {tag: kind for kind, tag in _SPEC_TAGS.items()}
 
-_MAX_BYTE = 255
+# the most antennas a container holds: N_R takes one header byte
+MAX_ANTENNAS = 255
 
 # ASCII binary digits -> bit values, for the payload view of format() output
 _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -226,8 +227,8 @@ def _header_spec(kind, params):
 @lru_cache(maxsize=1024)
 def _header(spec, n_antennas):
     """(container header up to the payload, payload bit length) of a spec at N_R."""
-    if n_antennas > _MAX_BYTE:
-        raise ValueError(f"container holds at most {_MAX_BYTE} antennas, got N_R={n_antennas}")
+    if n_antennas > MAX_ANTENNAS:
+        raise ValueError(f"container holds at most {MAX_ANTENNAS} antennas, got N_R={n_antennas}")
     n_bits = _payload_bits(spec, n_antennas)
     params = [getattr(spec, attr) for attr in KIND_PARAMS[spec.kind]]
     head = bytes([_SPEC_TAGS[spec.kind], n_antennas, *params])

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .bitcodec import encode_relay_state, pack_container
+from .bitcodec import MAX_ANTENNAS, encode_relay_state, pack_container
 from .config import ConfigError, parse_config, parse_spec_string
 from .quantizers import (
     AF,
@@ -80,8 +80,11 @@ def _cmd_ber(args):
 
 
 def _cmd_bits(args):
-    if args.nr_min < 1 or args.nr_max < args.nr_min:
-        raise UsageError("need 1 <= --nr-min <= --nr-max")
+    # the level multisets memory_report caches grow with N_R, so N_R stops
+    # where a relay-state container does
+    if not 1 <= args.nr_min <= args.nr_max <= MAX_ANTENNAS:
+        raise UsageError(f"need 1 <= --nr-min <= --nr-max <= {MAX_ANTENNAS}, the most "
+                         "antennas a relay-state container holds")
     specs = [parse_spec_string(text) for text in args.spec]
     for spec in specs:
         if spec.kind == AF:

@@ -26,12 +26,16 @@ takes ``SweepConfig``'s default (``detector`` mismatched,
 ``marginal_samples`` 64), except ``workers``, which defaults to the
 available cores; a sweep starts at most min(workers, tasks, cores) worker
 processes.
-Both detectors search the candidate messages in blocks, but first build
-products of all of them, so the candidate count C = M**n_s may be at most
-``MAX_CANDIDATES`` (2**16) and those products, C * max(n_r, n_d) complex
-entries per trial, may take at most ``MAX_PRODUCT_BYTES`` (256 MiB).  For
-the marginalized detector, one block stack of marginal_samples *
-min(C, 16) * n_r complex entries may take at most
+``SweepConfig`` checks the link point (n_s, n_r, n_d, M, the specs,
+detector and marginal_samples) through ``engine.check_point``, as
+``PointConfig`` and ``count_errors`` do, and with it the caps, which live
+in :mod:`qfrelay.engine` next to the byte formulas they bound; this module
+re-exports them.  Both detectors search the candidate messages in blocks,
+but first build products of all of them, so the candidate count C = M**n_s
+may be at most ``MAX_CANDIDATES`` (2**16) and those products, C * max(n_r,
+n_d) complex entries per trial, may take at most ``MAX_PRODUCT_BYTES``
+(256 MiB).  For the marginalized detector, one block stack of
+marginal_samples * min(C, 16) * n_r complex entries may take at most
 ``MAX_MARGINAL_STACK_BYTES`` (64 MiB).
 Every snr_db_grid point must lie within +-``channel.MAX_SNR_DB`` (1000 dB),
 and q and qbar may be at most ``quantizers.MAX_BITS`` (16).
@@ -43,8 +47,9 @@ import dataclasses
 import os
 
 from .channel import snr_db_to_sigma2
-from .codebook import SUPPORTED_ALPHABETS
-from .engine import DETECTORS, MARGINAL_BLOCK, _block_stack_bytes, trial_product_bytes
+# the caps are re-exported, so qfrelay.config.MAX_CANDIDATES still resolves
+from .engine import (MAX_CANDIDATES, MAX_MARGINAL_STACK_BYTES, MAX_PRODUCT_BYTES,
+                     check_count, check_point)
 from .quantizers import KINDS, PARAM_KEYS, QuantizerSpec
 
 
@@ -61,19 +66,6 @@ class ConfigValidationError(ConfigError):
 
 
 _SPEC_KEYS = ("kind", *PARAM_KEYS.values())
-# largest candidate count C = M**n_s a sweep may enumerate
-MAX_CANDIDATES = 1 << 16
-# largest one-trial SD and relay-input products, C * max(n_r, n_d) * 16
-# bytes.  A batch holds at least one trial, and both detectors build these
-# products of all C candidates before the block search: at C = 2**16 and
-# n_r = n_d = 4 they take 4 MiB
-MAX_PRODUCT_BYTES = 1 << 28
-# largest L * min(C, 16) * n_r * 16 bytes of the marginalized detector, with
-# L = marginal_samples: one of the block stacks the engine builds, each
-# min(C, engine.MARGINAL_BLOCK) candidates wide.  The per-spec temporaries
-# of a block take about 7 times the stack, so an at-cap trial peaks near
-# half a GiB
-MAX_MARGINAL_STACK_BYTES = 1 << 26
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,56 +85,25 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in (
-            "n_source", "n_relay", "n_dest", "trials_per_point", "marginal_samples",
-            "workers",
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigValidationError(f"{name} must be a positive integer")
-        if self.alphabet not in SUPPORTED_ALPHABETS:
-            raise ConfigValidationError(
-                f"M must be one of {SUPPORTED_ALPHABETS}, got {self.alphabet}"
-            )
-        candidates = self.alphabet**self.n_source
-        if candidates > MAX_CANDIDATES:
-            raise ConfigValidationError(
-                f"candidate count C = M**n_s = {candidates} exceeds the cap of "
-                f"{MAX_CANDIDATES}"
-            )
-        if not self.specs:
-            raise ConfigValidationError("at least one [spec] block is required")
-        for spec in self.specs:
-            try:
-                spec.validate_for(self.n_relay)
-            except ValueError as exc:
-                raise ConfigValidationError(str(exc)) from exc
-        if not self.snr_db_grid:
-            raise ConfigValidationError("snr_db_grid must not be empty")
-        if any(b <= a for a, b in zip(self.snr_db_grid, self.snr_db_grid[1:])):
-            raise ConfigValidationError("snr_db_grid not ascending")
-        for snr_db in self.snr_db_grid:
-            try:
+        # the link point is checked by the engine; only the sweep's own
+        # fields are checked here
+        try:
+            check_point(self.n_source, self.n_relay, self.n_dest, self.alphabet, self.specs,
+                        self.detector, self.marginal_samples)
+            check_count("trials_per_point", self.trials_per_point, int)
+            check_count("workers", self.workers, int)
+            if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+                raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+            if not self.specs:
+                raise ValueError("at least one [spec] block is required")
+            if not self.snr_db_grid:
+                raise ValueError("snr_db_grid must not be empty")
+            if any(b <= a for a, b in zip(self.snr_db_grid, self.snr_db_grid[1:])):
+                raise ValueError("snr_db_grid not ascending")
+            for snr_db in self.snr_db_grid:
                 snr_db_to_sigma2(snr_db)
-            except ValueError as exc:
-                raise ConfigValidationError(str(exc)) from exc
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigValidationError("seed must be a non-negative integer")
-        if self.detector not in DETECTORS:
-            raise ConfigValidationError(f"detector must be one of {DETECTORS}")
-        products = trial_product_bytes(candidates, self.n_relay, self.n_dest)
-        if products > MAX_PRODUCT_BYTES:
-            raise ConfigValidationError(
-                f"candidate products C * max(n_r, n_d) * 16 = {products} bytes exceeds "
-                f"the cap of {MAX_PRODUCT_BYTES}"
-            )
-        if self.detector == "marginalized":
-            stack = _block_stack_bytes(candidates, self.n_relay, self.marginal_samples)
-            if stack > MAX_MARGINAL_STACK_BYTES:
-                raise ConfigValidationError(
-                    f"marginalized block stack marginal_samples * min(C, {MARGINAL_BLOCK}) * n_r"
-                    f" * 16 = {stack} bytes exceeds the cap of {MAX_MARGINAL_STACK_BYTES}"
-                )
+        except ValueError as exc:
+            raise ConfigValidationError(str(exc)) from exc
 
 
 def _parse_int(key, raw):

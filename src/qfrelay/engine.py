@@ -25,6 +25,12 @@ is exactly the argmin of the full metrics, which
 which :func:`marginalized_scores` computes.  The single-trial reference
 takes that argmin or argmax directly, so it checks the search rather than
 sharing it.
+
+:func:`check_point` is the one check of a link point (dims, M, specs,
+detector and L), which ``SweepConfig``, ``PointConfig`` and
+:func:`count_errors` all call.  The caps it applies, ``MAX_CANDIDATES``,
+``MAX_PRODUCT_BYTES`` and ``MAX_MARGINAL_STACK_BYTES``, live here next to
+the byte formulas they bound; :mod:`qfrelay.config` re-exports them.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import math
 import numpy as np
 
 from .channel import _matvec, sample_links, sample_noise, snr_db_to_sigma2, trial_stream
-from .codebook import build_codebook
+from .codebook import SUPPORTED_ALPHABETS, build_codebook
 from .quantizers import CandidateBasis, candidate_relay_symbols, relay_symbols
 
 # bytes of the complex (batch, [samples,] candidates, antennas) stack that
@@ -282,6 +288,20 @@ def _draw_batch(n_source, n_relay, n_dest, codebook, sigma2, seed, snr_index,
     return sent, h_sr, h_sd, h_rd, y_sr, y_sd, noise[:, rd:relay], relay_noise
 
 
+# caps on a link point, which check_point applies at every entry point.
+# Largest candidate count C = M**n_s a sweep may enumerate
+MAX_CANDIDATES = 1 << 16
+# largest one-trial SD and relay-input products, C * max(n_r, n_d) * 16
+# bytes (:func:`trial_product_bytes`).  A batch holds at least one trial,
+# and both detectors build these products of all C candidates before the
+# block search: at C = 2**16 and n_r = n_d = 4 they take 4 MiB
+MAX_PRODUCT_BYTES = 1 << 28
+# largest marginalized block stack, L * min(C, 16) * n_r * 16 bytes
+# (:func:`_block_stack_bytes`).  The per-spec temporaries of a block take
+# about 7 times the stack, so an at-cap trial peaks near half a GiB
+MAX_MARGINAL_STACK_BYTES = 1 << 26
+
+
 def trial_product_bytes(n_candidates, n_relay, n_dest):
     """Bytes of one trial's SD and relay-input products of all C candidates.
 
@@ -299,6 +319,54 @@ def _block_stack_bytes(n_candidates, n_relay, marginal_samples):
     """
     block = min(n_candidates, MARGINAL_BLOCK)
     return marginal_samples * block * n_relay * np.dtype(complex).itemsize
+
+
+def check_count(name, value, kinds=(int, np.integer)):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a positive
+    instance of ``kinds`` (Python or numpy ints by default), bools excluded."""
+    if not isinstance(value, kinds) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
+
+
+def check_point(n_source, n_relay, n_dest, alphabet, specs, detector, marginal_samples):
+    """The one check of a link point; raises ``ValueError`` naming the field.
+
+    Dims are Python ints, as :func:`~qfrelay.codebook.build_codebook` needs,
+    and L = ``marginal_samples`` a Python or numpy int, whichever the
+    detector.  The point must also fit the caps above, so a point that
+    passes runs in bounded memory.
+    """
+    for name, value in (("n_source", n_source), ("n_relay", n_relay), ("n_dest", n_dest)):
+        check_count(name, value, int)
+    check_count("marginal_samples", marginal_samples)
+    if not isinstance(alphabet, int) or alphabet not in SUPPORTED_ALPHABETS:
+        raise ValueError(f"M must be one of {SUPPORTED_ALPHABETS}, got {alphabet!r}")
+    if detector not in DETECTORS:
+        raise ValueError(f"detector must be one of {DETECTORS}, got {detector!r}")
+    for spec in specs:
+        spec.validate_for(n_relay)
+    # M is a power of two, so C = 2**(n_s log2 M); past 64 antennas C is
+    # shown as a power, having too many digits to print
+    if n_source * (alphabet.bit_length() - 1) > MAX_CANDIDATES.bit_length() - 1:
+        shown = alphabet**n_source if n_source <= 64 else f"{alphabet}**{n_source}"
+        raise ValueError(
+            f"candidate count C = M**n_s = {shown} exceeds the cap of {MAX_CANDIDATES}"
+        )
+    candidates = alphabet**n_source
+    products = trial_product_bytes(candidates, n_relay, n_dest)
+    if products > MAX_PRODUCT_BYTES:
+        raise ValueError(
+            f"candidate products C * max(n_r, n_d) * 16 = {products} bytes exceeds "
+            f"the cap of {MAX_PRODUCT_BYTES}"
+        )
+    if detector == "marginalized":
+        # a Python int, which a huge numpy L cannot wrap around
+        stack = _block_stack_bytes(candidates, n_relay, int(marginal_samples))
+        if stack > MAX_MARGINAL_STACK_BYTES:
+            raise ValueError(
+                f"marginalized block stack marginal_samples * min(C, {MARGINAL_BLOCK}) * n_r"
+                f" * 16 = {stack} bytes exceeds the cap of {MAX_MARGINAL_STACK_BYTES}"
+            )
 
 
 def _batch_size(n_candidates, n_relay, n_dest, marginal_samples):
@@ -322,15 +390,9 @@ def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
     makes method comparisons paired.  Returns an int64 array of
     ``len(specs)`` bit-error counts.
     """
-    if detector not in DETECTORS:
-        raise ValueError(f"unknown detector {detector!r}")
-    sizes = {"marginal_samples": marginal_samples,
-             "batch_size": 1 if batch_size is None else batch_size}
-    for name, value in sizes.items():
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be a positive int, got {value!r}")
-    for spec in specs:
-        spec.validate_for(n_relay)
+    check_point(n_source, n_relay, n_dest, alphabet, specs, detector, marginal_samples)
+    if batch_size is not None:
+        check_count("batch_size", batch_size)
     codebook = build_codebook(alphabet, n_source)
     sigma2 = snr_db_to_sigma2(snr_db)
     marginal = marginal_samples if detector == "marginalized" else 0

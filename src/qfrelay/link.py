@@ -28,7 +28,6 @@ from .channel import (
     trial_stream,
 )
 from .codebook import build_codebook
-from .engine import DETECTORS
 from .quantizers import AF, QuantizerSpec, relay_state, relay_symbols, relay_symbols_from_state
 
 
@@ -47,11 +46,9 @@ class PointConfig:
     marginal_samples: int = 64
 
     def __post_init__(self):
-        if self.detector not in DETECTORS:
-            raise ValueError(f"detector must be one of {DETECTORS}, got {self.detector!r}")
-        if self.marginal_samples < 1:
-            raise ValueError("marginal_samples must be at least 1")
-        self.spec.validate_for(self.n_relay)
+        engine.check_point(self.n_source, self.n_relay, self.n_dest, self.alphabet,
+                           (self.spec,), self.detector, self.marginal_samples)
+        snr_db_to_sigma2(self.snr_db)
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,7 @@ def detect_marginalized(y_sd, y_rd, links, codebook, spec, sigma2, n_samples, rn
     candidate by a numerically stable log-sum-exp of the relay-noise
     likelihood.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    engine.check_count("n_samples", n_samples)
     noise = sample_noise((n_samples, links.n_relay), sigma2, rng)
     scores = engine.marginalized_scores(
         y_sd, y_rd, links.h_sd, links.h_sr, links.h_rd,

@@ -179,6 +179,21 @@ def test_bits_rejects_bad_range():
     assert main(["bits", "--nr-min", "5", "--nr-max", "4", "--spec", "UPQ:q=8"]) == 1
 
 
+def test_bits_caps_nr_max_at_the_container(tmp_path, capsys):
+    # the cached level multisets grow with N_R: unbounded, --nr-max 4000
+    # peaked at 162 MiB
+    out_path = tmp_path / "bits.csv"
+    args = ["bits", "--nr-min", "1", "--spec", "HAPQ:qbar=4,m=1", "--out", str(out_path)]
+    assert main([*args, "--nr-max", "255"]) == 0
+    assert out_path.read_text().splitlines()[-1] == "255,H-APQ,,4,1,2,2696"
+    out_path.unlink()
+    assert main([*args, "--nr-max", "256"]) == 1
+    captured = capsys.readouterr()
+    assert "--nr-max <= 255, the most antennas a relay-state container holds" in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 def test_ber_subcommand(tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text(

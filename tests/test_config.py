@@ -3,19 +3,25 @@
 import dataclasses
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfrelay import config
 from qfrelay.config import (
     MAX_CANDIDATES,
     MAX_MARGINAL_STACK_BYTES,
     MAX_PRODUCT_BYTES,
+    ConfigError,
     ConfigParseError,
     ConfigValidationError,
     SweepConfig,
     parse_config,
     parse_spec_string,
 )
+from qfrelay.engine import DETECTORS, count_errors
+from qfrelay.link import PointConfig
 from qfrelay.quantizers import AF, HAPQ, UAPQ, UPQ, QuantizerSpec
 
 MINIMAL = """
@@ -162,6 +168,15 @@ def test_sweep_config_direct_validation():
         SweepConfig(4, 4, 4, 4, (spec,), (0.0,), 0, 1)
     with pytest.raises(ConfigValidationError, match="snr_db must be in"):
         SweepConfig(4, 4, 4, 4, (spec,), (-1001.0, 0.0), 10, 1)
+    # bools are not counts: each of these used to construct
+    with pytest.raises(ConfigValidationError, match="n_relay must be a positive int"):
+        SweepConfig(4, True, 4, 4, (spec,), (0.0,), 10, 1)
+    with pytest.raises(ConfigValidationError, match="trials_per_point"):
+        SweepConfig(4, 4, 4, 4, (spec,), (0.0,), True, 1)
+    with pytest.raises(ConfigValidationError, match="seed"):
+        SweepConfig(4, 4, 4, 4, (spec,), (0.0,), 10, True)
+    with pytest.raises(ConfigValidationError, match="workers"):
+        SweepConfig(4, 4, 4, 4, (spec,), (0.0,), 10, 1, workers=True)
     # the bounds themselves are accepted, as are q = 16 and qbar = 15
     uapq16 = QuantizerSpec(UAPQ, total_bits=16, phase_bits=15)
     assert SweepConfig(4, 4, 4, 4, (uapq16,), (-1000.0, 1000.0), 10, 1).specs == (uapq16,)
@@ -173,6 +188,11 @@ def test_candidate_count_is_capped(tmp_path):
     message = f"candidate count C = M\\*\\*n_s = {16**8} exceeds the cap of {MAX_CANDIDATES}"
     with pytest.raises(ConfigValidationError, match=message):
         parse_config(_write(tmp_path, huge))
+    # a count too long to print is shown as a power; it used to exit 2 with
+    # Python's int-to-string digit limit
+    longest = MINIMAL.replace("n_s = 4", "n_s = 5000").replace("M = 4", "M = 16")
+    with pytest.raises(ConfigValidationError, match="C = M\\*\\*n_s = 16\\*\\*5000 exceeds"):
+        parse_config(_write(tmp_path, longest))
     # the cap itself is accepted: M = 16, n_s = 4 gives C = 2**16
     at_cap = MINIMAL.replace("M = 4", "M = 16")
     assert parse_config(_write(tmp_path, at_cap)).alphabet**4 == MAX_CANDIDATES
@@ -228,3 +248,37 @@ def test_candidate_products_are_capped(tmp_path, detector):
         )
         with pytest.raises(ConfigValidationError, match=message):
             parse_config(_write(tmp_path, shaped(n_r, n_d)))
+
+
+# the fields a link point shares across SweepConfig, PointConfig and
+# count_errors
+_POINT_FIELDS = ("n_source", "n_relay", "n_dest", "alphabet", "detector", "marginal_samples")
+_ODD_VALUES = st.one_of(
+    st.integers(-2, 3), st.booleans(), st.floats(), st.sampled_from(["3", "", *DETECTORS]),
+    st.none(), st.integers(-2, 3).map(np.int64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_POINT_FIELDS), _ODD_VALUES)
+def test_every_entry_checks_a_link_point_alike(field, value):
+    point = {"n_source": 2, "n_relay": 2, "n_dest": 2, "alphabet": 4,
+             "detector": "marginalized", "marginal_samples": 4, field: value}
+    spec = QuantizerSpec(UPQ, total_bits=4)
+    entries = (
+        lambda: SweepConfig(specs=(spec,), snr_db_grid=(0.0,), trials_per_point=1, seed=0,
+                            **point),
+        lambda: PointConfig(spec=spec, snr_db=0.0, **point),
+        # an empty trial range checks the point and runs nothing
+        lambda: count_errors(specs=(spec,), snr_db=0.0, snr_index=0, seed=0, trial_start=0,
+                             trial_stop=0, **point),
+    )
+    refusals = []
+    for entry in entries:
+        try:
+            entry()
+        except (ValueError, ConfigError) as exc:
+            refusals.append(str(exc))
+    assert len(refusals) in (0, len(entries)), refusals
+    name = "M" if field == "alphabet" else field  # messages use the config key M
+    assert all(message.startswith(f"{name} must") for message in refusals)

@@ -1,6 +1,7 @@
 """The batched engine must reproduce the single-trial reference bit for bit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,11 +234,34 @@ def test_engine_rejects_bad_detector():
     ("batch_size", -3, "mismatched"),
     ("batch_size", 0, "mismatched"),
     ("batch_size", 4.0, "marginalized"),
+    # without the bool check, True ran batches of one or failed inside numpy
+    ("marginal_samples", True, "marginalized"),
+    ("batch_size", True, "mismatched"),
 ])
 def test_engine_rejects_bad_sizes(name, value, detector):
     with pytest.raises(ValueError, match=f"{name} must be a positive int, got {value!r}"):
         count_errors(4, 4, 4, 4, SPECS[:1], 4.0, 0, 0, 0, 20, detector=detector,
                      **{name: value})
+
+
+@pytest.mark.parametrize("n_source, alphabet, detector, samples, message", [
+    # run, the first would build a 2**32-row codebook, 512 GiB of codewords
+    (8, 16, "mismatched", 64, f"candidate count C = M\\*\\*n_s = {16**8} exceeds"),
+    # a count with too many digits to print is shown as a power
+    (5000, 16, "mismatched", 64, "candidate count C = M\\*\\*n_s = 16\\*\\*5000 exceeds"),
+    # a numpy L whose block stack wraps around in int64 arithmetic
+    (4, 4, "marginalized", np.int64(1 << 62), "marginalized block stack"),
+])
+def test_engine_rejects_over_cap_points_before_allocating(n_source, alphabet, detector,
+                                                          samples, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            count_errors(n_source, 4, 4, alphabet, SPECS[:1], 4.0, 0, 0, 0, 20,
+                         detector=detector, marginal_samples=samples)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_engine_takes_numpy_int_sizes():

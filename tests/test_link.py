@@ -1,5 +1,7 @@
 """End-to-end relay link: detection oracles and the single-trial reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,35 @@ def test_point_config_validation():
             spec=QuantizerSpec(HAPQ, phase_bits=4, group_size=8),
             n_source=4, n_relay=4, n_dest=4, alphabet=4, snr_db=0.0,
         )
+    # without the engine's check, these constructed and run_trial failed
+    # later with a TypeError, or not at all
+    for samples in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=f"marginal_samples must be a positive int, "
+                                             f"got {samples!r}"):
+            _point(QuantizerSpec(AF), detector="marginalized", marginal_samples=samples)
+    with pytest.raises(ValueError, match="M must be one of"):
+        PointConfig(spec=QuantizerSpec(AF), n_source=4, n_relay=4, n_dest=4, alphabet=3,
+                    snr_db=0.0)
+    with pytest.raises(ValueError, match="snr_db must be in"):
+        _point(QuantizerSpec(AF), snr_db=5000.0)
+    # an over-cap point is refused before anything is allocated: run, it
+    # would build a 2**32-row codebook
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"C = M\\*\\*n_s = {16**8} exceeds the cap"):
+            PointConfig(spec=QuantizerSpec(AF), n_source=8, n_relay=4, n_dest=4,
+                        alphabet=16, snr_db=0.0)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_samples", [2.5, True, "3"])
+def test_detect_marginalized_rejects_bad_sample_counts(n_samples):
+    # each used to raise a TypeError from inside the draw or the comparison
+    rng = trial_stream(6, 0, 0)
+    links = sample_links(4, 4, 4, rng)
+    y = np.ones(4, dtype=complex)
+    with pytest.raises(ValueError, match=f"n_samples must be a positive int, got {n_samples!r}"):
+        detect_marginalized(y, y, links, build_codebook(4, 4), QuantizerSpec(AF), 0.1,
+                            n_samples, rng)
