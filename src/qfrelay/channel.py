@@ -10,6 +10,7 @@ one noise variance; the transmit SNR is 1/sigma2 under unit signal power.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,11 @@ MAX_SNR_DB = 1000.0
 def snr_db_to_sigma2(snr_db):
     """Noise variance for a transmit SNR of snr_db decibels (SNR = 1/sigma2).
 
-    |snr_db| may be at most ``MAX_SNR_DB``; NaN and anything wider raise.
+    snr_db must be a real number, and |snr_db| at most ``MAX_SNR_DB``; a
+    string, None, a complex, NaN and anything wider raise ``ValueError``.
     """
+    if not isinstance(snr_db, numbers.Real):
+        raise ValueError(f"snr_db must be a real number, got {snr_db!r}")
     # comparisons reject NaN and never convert a huge int to float
     if not -MAX_SNR_DB <= snr_db <= MAX_SNR_DB:
         raise ValueError(f"snr_db must be in [-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}], got {snr_db}")

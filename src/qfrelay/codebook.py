@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quantizers import sector_phasor
+from .quantizers import check_count, sector_phasor
 
 SUPPORTED_ALPHABETS = (2, 4, 8, 16)
 
@@ -58,13 +58,13 @@ class Codebook:
         return np.bitwise_count(mismatched).sum(axis=-1)
 
 
-@lru_cache(maxsize=None)
+# typed, so that True or a numpy int never hits the entry cached for 1 or an int
+@lru_cache(maxsize=None, typed=True)
 def build_codebook(alphabet, n_antennas):
     """Build the codebook for M-ary sub-messages on n_antennas antennas."""
     if alphabet not in SUPPORTED_ALPHABETS:
         raise ValueError(f"alphabet must be one of {SUPPORTED_ALPHABETS}, got {alphabet}")
-    if not isinstance(n_antennas, int) or n_antennas < 1:
-        raise ValueError(f"n_antennas must be a positive integer, got {n_antennas!r}")
+    check_count("n_antennas", n_antennas)
     bits = alphabet.bit_length() - 1
     messages = np.arange(alphabet**n_antennas)
     powers = alphabet ** np.arange(n_antennas)

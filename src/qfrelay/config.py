@@ -28,15 +28,16 @@ available cores; a sweep starts at most min(workers, tasks, cores) worker
 processes.
 ``SweepConfig`` checks the link point (n_s, n_r, n_d, M, the specs,
 detector and marginal_samples) through ``engine.check_point``, as
-``PointConfig`` and ``count_errors`` do, and with it the caps, which live
-in :mod:`qfrelay.engine` next to the byte formulas they bound; this module
+``PointConfig`` and ``count_errors`` do, and with it the two caps, which
+live in :mod:`qfrelay.engine` next to the rule they bound; this module
 re-exports them.  Both detectors search the candidate messages in blocks,
 but first build products of all of them, so the candidate count C = M**n_s
-may be at most ``MAX_CANDIDATES`` (2**16) and those products, C * max(n_r,
-n_d) complex entries per trial, may take at most ``MAX_PRODUCT_BYTES``
-(256 MiB).  For the marginalized detector, one block stack of
-marginal_samples * min(C, 16) * n_r complex entries may take at most
-``MAX_MARGINAL_STACK_BYTES`` (64 MiB).
+may be at most ``MAX_CANDIDATES`` (2**16).  One trial's largest complex
+array family, ``engine.trial_bytes``, may take at most ``MAX_TRIAL_BYTES``
+(64 MiB): its draws, (n_r*n_s + n_d*n_s + n_d*n_r + n_r + 2*n_d + L*n_r)
+entries with L = marginal_samples when marginalizing and 0 otherwise, its
+C * max(n_r, n_d) candidate products, and for the marginalized detector
+one block stack of marginal_samples * min(C, 16) * n_r entries.
 Every snr_db_grid point must lie within +-``channel.MAX_SNR_DB`` (1000 dB),
 and q and qbar may be at most ``quantizers.MAX_BITS`` (16).
 """
@@ -47,10 +48,10 @@ import dataclasses
 import os
 
 from .channel import snr_db_to_sigma2
-# the caps are re-exported, so qfrelay.config.MAX_CANDIDATES still resolves
-from .engine import (MAX_CANDIDATES, MAX_MARGINAL_STACK_BYTES, MAX_PRODUCT_BYTES,
-                     check_count, check_point)
-from .quantizers import KINDS, PARAM_KEYS, QuantizerSpec
+# the caps are re-exported, so qfrelay.config.MAX_CANDIDATES and
+# qfrelay.config.MAX_TRIAL_BYTES resolve beside the config they bound
+from .engine import MAX_CANDIDATES, MAX_TRIAL_BYTES, check_point
+from .quantizers import KINDS, PARAM_KEYS, QuantizerSpec, check_count
 
 
 class ConfigError(Exception):
@@ -90,18 +91,19 @@ class SweepConfig:
         try:
             check_point(self.n_source, self.n_relay, self.n_dest, self.alphabet, self.specs,
                         self.detector, self.marginal_samples)
-            check_count("trials_per_point", self.trials_per_point, int)
-            check_count("workers", self.workers, int)
+            check_count("trials_per_point", self.trials_per_point)
+            check_count("workers", self.workers)
             if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
                 raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
             if not self.specs:
                 raise ValueError("at least one [spec] block is required")
             if not self.snr_db_grid:
                 raise ValueError("snr_db_grid must not be empty")
-            if any(b <= a for a, b in zip(self.snr_db_grid, self.snr_db_grid[1:])):
-                raise ValueError("snr_db_grid not ascending")
+            # each point is checked, its type first, before the points are compared
             for snr_db in self.snr_db_grid:
                 snr_db_to_sigma2(snr_db)
+            if any(b <= a for a, b in zip(self.snr_db_grid, self.snr_db_grid[1:])):
+                raise ValueError("snr_db_grid not ascending")
         except ValueError as exc:
             raise ConfigValidationError(str(exc)) from exc
 

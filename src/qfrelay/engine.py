@@ -28,9 +28,11 @@ sharing it.
 
 :func:`check_point` is the one check of a link point (dims, M, specs,
 detector and L), which ``SweepConfig``, ``PointConfig`` and
-:func:`count_errors` all call.  The caps it applies, ``MAX_CANDIDATES``,
-``MAX_PRODUCT_BYTES`` and ``MAX_MARGINAL_STACK_BYTES``, live here next to
-the byte formulas they bound; :mod:`qfrelay.config` re-exports them.
+:func:`count_errors` all call.  One byte rule, :func:`trial_bytes`, the
+largest of a trial's draws, full-C products and marginalized block stack,
+both sizes every batch (:func:`_batch_size`) and caps every point, at
+``MAX_TRIAL_BYTES``; with ``MAX_CANDIDATES`` on C = M**n_s, those are the
+two caps, which :mod:`qfrelay.config` re-exports.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ import numpy as np
 
 from .channel import _matvec, sample_links, sample_noise, snr_db_to_sigma2, trial_stream
 from .codebook import SUPPORTED_ALPHABETS, build_codebook
-from .quantizers import CandidateBasis, candidate_relay_symbols, relay_symbols
+from .quantizers import CandidateBasis, candidate_relay_symbols, check_count, relay_symbols
 
-# bytes of the complex (batch, [samples,] candidates, antennas) stack that
-# sizes a batch: every spec's candidate work is bandwidth-bound, and at half
-# of a 2 MiB L2 its temporaries stay near cache size
+# bytes a batch's largest array family, batch x :func:`trial_bytes`, may
+# take: every spec's candidate work is bandwidth-bound, and at half of a
+# 2 MiB L2 its temporaries stay near cache size
 _CANDIDATE_STACK_BUDGET = 1 << 20
 # candidates per block of the block search, per detector.  C = M**n_s is a
 # power of two, so every block is full, and blocks whose width is a multiple
@@ -291,41 +293,34 @@ def _draw_batch(n_source, n_relay, n_dest, codebook, sigma2, seed, snr_index,
 # caps on a link point, which check_point applies at every entry point.
 # Largest candidate count C = M**n_s a sweep may enumerate
 MAX_CANDIDATES = 1 << 16
-# largest one-trial SD and relay-input products, C * max(n_r, n_d) * 16
-# bytes (:func:`trial_product_bytes`).  A batch holds at least one trial,
-# and both detectors build these products of all C candidates before the
-# block search: at C = 2**16 and n_r = n_d = 4 they take 4 MiB
-MAX_PRODUCT_BYTES = 1 << 28
-# largest marginalized block stack, L * min(C, 16) * n_r * 16 bytes
-# (:func:`_block_stack_bytes`).  The per-spec temporaries of a block take
-# about 7 times the stack, so an at-cap trial peaks near half a GiB
-MAX_MARGINAL_STACK_BYTES = 1 << 26
+# largest one-trial working set, :func:`trial_bytes`.  A batch holds at
+# least one trial, and the temporaries around the largest array family take
+# a few times its bytes, so an at-cap trial peaks near half a GiB
+MAX_TRIAL_BYTES = 1 << 26
 
 
-def trial_product_bytes(n_candidates, n_relay, n_dest):
-    """Bytes of one trial's SD and relay-input products of all C candidates.
+def trial_bytes(n_candidates, n_source, n_relay, n_dest, marginal_samples):
+    """Bytes of one trial's largest complex array family, and its formula.
 
-    Both detectors build them before the search: (N_D, C) and (C, N_R)
-    complex entries, the wider of which this counts.
+    The families are the trial's draws (link matrices, the three noise
+    vectors and L = ``marginal_samples`` relay-noise samples), the SD and
+    relay-input products of all C = ``n_candidates`` candidates, which both
+    detectors build before the search, and the marginalized block stack,
+    (L, min(C, ``MARGINAL_BLOCK``), N_R), which is 0 at L = 0 (the
+    mismatched detector).  A mismatched round's (min(C,
+    ``MISMATCHED_BLOCK``), N_R) stack never outgrows the products.
     """
-    return n_candidates * max(n_relay, n_dest) * np.dtype(complex).itemsize
-
-
-def _block_stack_bytes(n_candidates, n_relay, marginal_samples):
-    """Bytes of one trial's marginalized block stack, (L, block, N_R) complex.
-
-    block = min(C, ``MARGINAL_BLOCK``) candidates and L =
-    ``marginal_samples``; at L = 0 (the mismatched detector) it is 0.
-    """
-    block = min(n_candidates, MARGINAL_BLOCK)
-    return marginal_samples * block * n_relay * np.dtype(complex).itemsize
-
-
-def check_count(name, value, kinds=(int, np.integer)):
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a positive
-    instance of ``kinds`` (Python or numpy ints by default), bools excluded."""
-    if not isinstance(value, kinds) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive int, got {value!r}")
+    n_s, n_r, n_d, entry = n_source, n_relay, n_dest, np.dtype(complex).itemsize
+    draws = (n_r * n_s + n_d * n_s + n_d * n_r + n_r + 2 * n_d + marginal_samples * n_r) * entry
+    products = n_candidates * max(n_r, n_d) * entry
+    stack = marginal_samples * min(n_candidates, MARGINAL_BLOCK) * n_r * entry
+    return max(
+        (draws, "trial draws (n_r*n_s + n_d*n_s + n_d*n_r + n_r + 2*n_d + L*n_r) * 16"),
+        (products, "candidate products C * max(n_r, n_d) * 16"),
+        (stack, f"marginalized block stack marginal_samples * min(C, {MARGINAL_BLOCK})"
+                " * n_r * 16"),
+        key=lambda family: family[0],
+    )
 
 
 def check_point(n_source, n_relay, n_dest, alphabet, specs, detector, marginal_samples):
@@ -337,8 +332,8 @@ def check_point(n_source, n_relay, n_dest, alphabet, specs, detector, marginal_s
     passes runs in bounded memory.
     """
     for name, value in (("n_source", n_source), ("n_relay", n_relay), ("n_dest", n_dest)):
-        check_count(name, value, int)
-    check_count("marginal_samples", marginal_samples)
+        check_count(name, value)
+    check_count("marginal_samples", marginal_samples, (int, np.integer))
     if not isinstance(alphabet, int) or alphabet not in SUPPORTED_ALPHABETS:
         raise ValueError(f"M must be one of {SUPPORTED_ALPHABETS}, got {alphabet!r}")
     if detector not in DETECTORS:
@@ -352,33 +347,17 @@ def check_point(n_source, n_relay, n_dest, alphabet, specs, detector, marginal_s
         raise ValueError(
             f"candidate count C = M**n_s = {shown} exceeds the cap of {MAX_CANDIDATES}"
         )
-    candidates = alphabet**n_source
-    products = trial_product_bytes(candidates, n_relay, n_dest)
-    if products > MAX_PRODUCT_BYTES:
-        raise ValueError(
-            f"candidate products C * max(n_r, n_d) * 16 = {products} bytes exceeds "
-            f"the cap of {MAX_PRODUCT_BYTES}"
-        )
-    if detector == "marginalized":
-        # a Python int, which a huge numpy L cannot wrap around
-        stack = _block_stack_bytes(candidates, n_relay, int(marginal_samples))
-        if stack > MAX_MARGINAL_STACK_BYTES:
-            raise ValueError(
-                f"marginalized block stack marginal_samples * min(C, {MARGINAL_BLOCK}) * n_r"
-                f" * 16 = {stack} bytes exceeds the cap of {MAX_MARGINAL_STACK_BYTES}"
-            )
+    # a Python L, whose byte count a huge numpy L cannot wrap around in int64
+    marginal = int(marginal_samples) if detector == "marginalized" else 0
+    size, formula = trial_bytes(alphabet**n_source, n_source, n_relay, n_dest, marginal)
+    if size > MAX_TRIAL_BYTES:
+        raise ValueError(f"{formula} = {size} bytes exceeds the cap of {MAX_TRIAL_BYTES}")
 
 
-def _batch_size(n_candidates, n_relay, n_dest, marginal_samples):
-    """Trials per batch whose largest per-trial array fits the byte budget, at least 1.
-
-    That array is the full-C products or, when marginalizing, the
-    :func:`_block_stack_bytes` stack of one round.  A mismatched round's
-    (min(C, ``MISMATCHED_BLOCK``), N_R) stack never outgrows the products.
-    """
-    stack = _block_stack_bytes(n_candidates, n_relay, marginal_samples)
-    products = trial_product_bytes(n_candidates, n_relay, n_dest)
-    return max(1, _CANDIDATE_STACK_BUDGET // max(stack, products))
+def _batch_size(n_candidates, n_source, n_relay, n_dest, marginal_samples):
+    """Trials per batch whose :func:`trial_bytes` fit the byte budget, at least 1."""
+    size, _ = trial_bytes(n_candidates, n_source, n_relay, n_dest, marginal_samples)
+    return max(1, _CANDIDATE_STACK_BUDGET // size)
 
 
 def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
@@ -392,12 +371,12 @@ def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
     """
     check_point(n_source, n_relay, n_dest, alphabet, specs, detector, marginal_samples)
     if batch_size is not None:
-        check_count("batch_size", batch_size)
+        check_count("batch_size", batch_size, (int, np.integer))
     codebook = build_codebook(alphabet, n_source)
     sigma2 = snr_db_to_sigma2(snr_db)
     marginal = marginal_samples if detector == "marginalized" else 0
     if batch_size is None:
-        batch_size = _batch_size(codebook.n_messages, n_relay, n_dest, marginal)
+        batch_size = _batch_size(codebook.n_messages, n_source, n_relay, n_dest, marginal)
     errors = np.zeros(len(specs), dtype=np.int64)
     for start in range(trial_start, trial_stop, batch_size):
         trials = range(start, min(start + batch_size, trial_stop))

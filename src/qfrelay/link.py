@@ -28,7 +28,8 @@ from .channel import (
     trial_stream,
 )
 from .codebook import build_codebook
-from .quantizers import AF, QuantizerSpec, relay_state, relay_symbols, relay_symbols_from_state
+from .quantizers import (AF, QuantizerSpec, check_count, relay_state, relay_symbols,
+                         relay_symbols_from_state)
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def detect_marginalized(y_sd, y_rd, links, codebook, spec, sigma2, n_samples, rn
     candidate by a numerically stable log-sum-exp of the relay-noise
     likelihood.
     """
-    engine.check_count("n_samples", n_samples)
+    check_count("n_samples", n_samples, (int, np.integer))
     noise = sample_noise((n_samples, links.n_relay), sigma2, rng)
     scores = engine.marginalized_scores(
         y_sd, y_rd, links.h_sd, links.h_sr, links.h_rd,

@@ -64,9 +64,15 @@ MAX_BITS = 16
 _BIT_BUDGETS = ("total_bits", "phase_bits")
 
 
-def _require_positive_int(value, name):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def check_count(name, value, kinds=int):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a positive
+    instance of ``kinds`` (Python ints by default), bools excluded.
+
+    The one positive-count rule of the package: spec parameters, antenna
+    counts, link dims, sample, batch, trial and worker counts.
+    """
+    if not isinstance(value, kinds) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ class QuantizerSpec:
         params = KIND_PARAMS[self.kind]
         for attr in params:
             value = getattr(self, attr)
-            _require_positive_int(value, PARAM_KEYS[attr])
+            check_count(PARAM_KEYS[attr], value)
             if attr in _BIT_BUDGETS and value > MAX_BITS:
                 raise ValueError(f"{PARAM_KEYS[attr]} must be at most {MAX_BITS}, got {value}")
         if self.kind == UAPQ and self.phase_bits >= self.total_bits:
@@ -111,7 +117,7 @@ class QuantizerSpec:
 
     def validate_for(self, n_antennas):
         """Check the parts of the spec that depend on the array size."""
-        _require_positive_int(n_antennas, "n_antennas")
+        check_count("n_antennas", n_antennas)
         if self.kind == HAPQ and self.group_size > n_antennas:
             raise ValueError(
                 f"H-APQ group size m={self.group_size} exceeds antenna count {n_antennas}"
@@ -169,7 +175,7 @@ def phase_index(theta, bits):
     boundary belongs to the lower sector, and the result is in
     {0, ..., 2**bits - 1}.
     """
-    _require_positive_int(bits, "phase bits")
+    check_count("phase bits", bits)
     wrapped = wrap_phase(theta)
     sectors = 1 << bits
     if np.ndim(wrapped) == 0:
@@ -231,7 +237,7 @@ def amplitude_bin(values, bits):
 
     A value of exactly 1.0 is clamped into the top bin.
     """
-    _require_positive_int(bits, "amplitude bits")
+    check_count("amplitude bits", bits)
     v = np.asarray(values, dtype=float)
     # min and max carry a NaN through, so the comparison rejects it
     if v.size and not (v.min() > 0.0 and v.max() <= 1.0):
@@ -309,7 +315,7 @@ def oaq_level_multiset(n_antennas, group_size):
     assigned to.  Raises ``ValueError`` unless both arguments are integers,
     not bools, with 1 <= group_size <= n_antennas.
     """
-    _require_positive_int(n_antennas, "n_antennas")
+    check_count("n_antennas", n_antennas)
     if (not isinstance(group_size, int) or isinstance(group_size, bool)
             or not 1 <= group_size <= n_antennas):
         raise ValueError(f"group size m must be in 1..{n_antennas}, got {group_size!r}")
@@ -346,7 +352,7 @@ def build_level_set(n_antennas, group_size, level_exponent=2):
     The spacing is fixed by unit transmit power: the sum of a_k**2 over the
     O-AQ level multiset, one term per antenna, is 1.
     """
-    _require_positive_int(level_exponent, "family_n")
+    check_count("family_n", level_exponent)
     pool = oaq_level_multiset(n_antennas, group_size)
     spacing = 1.0 / math.sqrt(sum(level**level_exponent for level in pool))
     levels = spacing * np.arange(1, pool[-1] + 1, dtype=float) ** (0.5 * level_exponent)

@@ -127,7 +127,20 @@ def test_ber_rejects_candidate_products_above_the_cap(tmp_path, capsys, detector
     assert main(["ber", str(config)]) == 1
     err = capsys.readouterr().err
     assert ("candidate products C * max(n_r, n_d) * 16 = 4294967296 bytes exceeds "
-            "the cap of 268435456") in err
+            "the cap of 67108864") in err
+
+
+def test_ber_rejects_trial_draws_above_the_cap(tmp_path, capsys):
+    # parsed only: one trial's 4096 x 4096 RD matrix alone would take 256 MiB
+    config = tmp_path / "square.cfg"
+    config.write_text(
+        "n_s = 1\nn_r = 4096\nn_d = 4096\nM = 2\nsnr_db_grid = 0\n"
+        "trials_per_point = 1\nseed = 1\n[spec]\nkind = AF\n"
+    )
+    assert main(["ber", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert ("trial draws (n_r*n_s + n_d*n_s + n_d*n_r + n_r + 2*n_d + L*n_r) * 16 = "
+            "268763136 bytes exceeds the cap of 67108864") in err
 
 
 def test_ber_rejects_an_snr_outside_the_range(tmp_path, capsys):

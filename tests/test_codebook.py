@@ -67,3 +67,7 @@ def test_rejects_unsupported_alphabet():
         build_codebook(3, 2)
     with pytest.raises(ValueError):
         build_codebook(4, 0)
+    # a bool is not an antenna count, even once the codebook for 1 is cached
+    build_codebook(4, 1)
+    with pytest.raises(ValueError, match="n_antennas must be a positive int, got True"):
+        build_codebook(4, True)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +13,7 @@ from hypothesis import strategies as st
 from qfrelay import config
 from qfrelay.config import (
     MAX_CANDIDATES,
-    MAX_MARGINAL_STACK_BYTES,
-    MAX_PRODUCT_BYTES,
+    MAX_TRIAL_BYTES,
     ConfigError,
     ConfigParseError,
     ConfigValidationError,
@@ -48,6 +49,17 @@ def _write(tmp_path, text):
     path = tmp_path / "sweep.cfg"
     path.write_text(text)
     return str(path)
+
+
+def _refused(path, message):
+    """parse_config rejects the file with ``message`` before 1 MiB is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigValidationError, match=message):
+            parse_config(path)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_minimal_config_with_defaults(tmp_path):
@@ -210,20 +222,17 @@ def test_marginalized_block_stack_is_capped(tmp_path):
     over = with_samples(MINIMAL, 65537)
     message = (
         f"marginalized block stack marginal_samples \\* min\\(C, 16\\) \\* n_r \\* 16 = "
-        f"{65537 * 16 * 4 * 16} bytes exceeds the cap of {MAX_MARGINAL_STACK_BYTES}"
+        f"{65537 * 16 * 4 * 16} bytes exceeds the cap of {MAX_TRIAL_BYTES}"
     )
-    with pytest.raises(ConfigValidationError, match=message):
-        parse_config(_write(tmp_path, over))
+    _refused(_write(tmp_path, over), message)
     # C = 16 fills the 16-candidate block: the same L is the largest accepted
     c16 = MINIMAL.replace("n_s = 4", "n_s = 2")
     assert parse_config(_write(tmp_path, with_samples(c16, 65536))).marginal_samples == 65536
-    with pytest.raises(ConfigValidationError, match=message):
-        parse_config(_write(tmp_path, with_samples(c16, 65537)))
+    _refused(_write(tmp_path, with_samples(c16, 65537)), message)
     # C = 4 is a 4-candidate block, so four times the samples fit
     c4 = MINIMAL.replace("n_s = 4", "n_s = 1")
     assert parse_config(_write(tmp_path, with_samples(c4, 262144))).marginal_samples == 262144
-    with pytest.raises(ConfigValidationError, match="exceeds the cap"):
-        parse_config(_write(tmp_path, with_samples(c4, 262145)))
+    _refused(_write(tmp_path, with_samples(c4, 262145)), "block stack .* exceeds the cap")
     # the mismatched detector draws no relay-noise samples, so L does not bound it
     mismatched = with_samples(MINIMAL, 65537, detector="mismatched")
     assert parse_config(_write(tmp_path, mismatched)).detector == "mismatched"
@@ -231,23 +240,56 @@ def test_marginalized_block_stack_is_capped(tmp_path):
 
 @pytest.mark.parametrize("detector", ["mismatched", "marginalized"])
 def test_candidate_products_are_capped(tmp_path, detector):
-    # parsed only: C * max(n_r, n_d) * 16 bytes is 256 MiB at C = 2**16 and
-    # a widest side of 256, the largest accepted, whichever side it is
+    # parsed only: C * max(n_r, n_d) * 16 bytes is 64 MiB at C = 2**16 and
+    # a widest side of 64, the largest accepted, whichever side it is
     def shaped(n_r, n_d):
         return MINIMAL.replace("M = 4", "M = 16").replace(
             "n_r = 4\nn_d = 4", f"n_r = {n_r}\nn_d = {n_d}").replace(
             "seed = 42\n", f"seed = 42\ndetector = {detector}\n")
 
-    for n_r, n_d in ((256, 4), (4, 256)):
+    for n_r, n_d in ((64, 4), (4, 64)):
         cfg = parse_config(_write(tmp_path, shaped(n_r, n_d)))
         assert (cfg.n_relay, cfg.n_dest) == (n_r, n_d)
-    for n_r, n_d in ((257, 4), (4, 257)):
+    for n_r, n_d in ((65, 4), (4, 65)):
         message = (
-            f"candidate products C \\* max\\(n_r, n_d\\) \\* 16 = {2**16 * 257 * 16} "
-            f"bytes exceeds the cap of {MAX_PRODUCT_BYTES}"
+            f"candidate products C \\* max\\(n_r, n_d\\) \\* 16 = {2**16 * 65 * 16} "
+            f"bytes exceeds the cap of {MAX_TRIAL_BYTES}"
         )
-        with pytest.raises(ConfigValidationError, match=message):
-            parse_config(_write(tmp_path, shaped(n_r, n_d)))
+        _refused(_write(tmp_path, shaped(n_r, n_d)), message)
+
+
+def test_trial_draws_are_capped(tmp_path):
+    # parsed only: at n_s = 1 and M = 2 one trial's draws, which the
+    # n_d x n_r RD matrix dominates, outgrow its products and block stack.
+    # n_r = n_d = 2045 is the largest square link accepted
+    def square(n):
+        return MINIMAL.replace("n_s = 4", "n_s = 1").replace("M = 4", "M = 2").replace(
+            "n_r = 4\nn_d = 4", f"n_r = {n}\nn_d = {n}")
+
+    assert parse_config(_write(tmp_path, square(2045))).n_relay == 2045
+    # 4096 used to be accepted, and its default batch of 8 trials held
+    # 2 GiB of RD link matrices
+    for n in (2046, 4096):
+        draws = (n + n + n * n + n + 2 * n) * 16
+        message = (
+            f"trial draws (n_r*n_s + n_d*n_s + n_d*n_r + n_r + 2*n_d + L*n_r) * 16 = {draws} "
+            f"bytes exceeds the cap of {MAX_TRIAL_BYTES}"
+        )
+        _refused(_write(tmp_path, square(n)), re.escape(message))
+
+
+@pytest.mark.parametrize("snr_db", ["3", None, 1j])
+def test_snr_must_be_a_real_number(snr_db):
+    # each used to raise a TypeError from the range comparison
+    spec = QuantizerSpec(AF)
+    message = f"snr_db must be a real number, got {snr_db!r}"
+    with pytest.raises(ConfigValidationError, match=message):
+        SweepConfig(4, 4, 4, 4, (spec,), (snr_db,), 10, 1)
+    # a grid is checked point by point before it is compared
+    with pytest.raises(ConfigValidationError, match=message):
+        SweepConfig(4, 4, 4, 4, (spec,), (0.0, snr_db), 10, 1)
+    with pytest.raises(ValueError, match=message):
+        PointConfig(spec=spec, n_source=4, n_relay=4, n_dest=4, alphabet=4, snr_db=snr_db)
 
 
 # the fields a link point shares across SweepConfig, PointConfig and

@@ -328,7 +328,7 @@ def _assert_search_picks_the_full_optimum(detector, n_source, samples, snr_grid)
     or np.argmax of the full score row (marginalized) on every trial,
     whatever the batch it runs in."""
     n_trials = 14
-    default = engine._batch_size(4**n_source, 4, 4, samples)
+    default = engine._batch_size(4**n_source, n_source, 4, 4, samples)
     for snr_db in snr_grid:
         codebook, sigma2, arrays, y_rds = _search_draws(n_source, samples, snr_db, n_trials)
         y_sd, h_sd, h_sr, h_rd, noise = arrays
@@ -487,12 +487,47 @@ def test_default_batch_fits_the_candidate_stack_budget():
     # criterion 7's mismatched shape (C = 4**4, N_R = N_D = 4), the
     # marginalized L = 64 shape, whose stack is one 16-candidate block, and
     # the candidate cap
-    assert engine._batch_size(256, 4, 4, 0) == 64
-    assert engine._batch_size(256, 4, 4, 64) == 16
-    assert engine._batch_size(MAX_CANDIDATES, 4, 4, 0) == 1
+    assert engine._batch_size(256, 4, 4, 4, 0) == 64
+    assert engine._batch_size(256, 4, 4, 4, 64) == 16
+    assert engine._batch_size(MAX_CANDIDATES, 4, 4, 4, 0) == 1
     # a 4 KiB block at L = 1, but the SD and relay-input products of all
     # 2**16 candidates take 4 MiB per trial
-    assert engine._batch_size(MAX_CANDIDATES, 4, 4, 1) == 1
+    assert engine._batch_size(MAX_CANDIDATES, 4, 4, 4, 1) == 1
     # the wider of N_R and N_D sizes the products
-    assert engine._batch_size(1 << 12, 4, 16, 1) == 1
-    assert engine._batch_size(1 << 12, 16, 4, 1) == 1
+    assert engine._batch_size(1 << 12, 3, 4, 16, 1) == 1
+    assert engine._batch_size(1 << 12, 3, 16, 4, 1) == 1
+    # at C = 2 the draws, whose RD matrix alone is 4 MiB at 512 x 512,
+    # size the batch; they used to be left out, giving 64 trials
+    assert engine.trial_bytes(2, 1, 512, 512, 0)[1].startswith("trial draws")
+    assert engine._batch_size(2, 1, 512, 512, 0) == 1
+
+
+@pytest.mark.parametrize("n_source, n_relay, n_dest, alphabet, detector, samples", [
+    (4, 4, 4, 4, "mismatched", 64),
+    (4, 4, 4, 4, "marginalized", 64),
+    (1, 512, 512, 2, "mismatched", 64),
+    (3, 16, 16, 16, "mismatched", 64),
+    (4, 4, 4, 4, "marginalized", 1024),
+    (4, 4, 4, 4, "marginalized", 4096),
+])
+def test_default_batch_peaks_within_its_trial_bytes(n_source, n_relay, n_dest, alphabet,
+                                                    detector, samples):
+    # one default batch of each method peaks within 8 times the bytes it
+    # was sized by: the temporaries around the largest array family take a
+    # few times its bytes, whether that family is the draws (512 x 512), the
+    # products (C = 4096) or the block stack (L >= 64).  Methods sharing a
+    # batch also share its candidate basis, which keeps each one's memoized
+    # pieces, so a batch of several methods can peak higher (see ROADMAP)
+    marginal = samples if detector == "marginalized" else 0
+    size, _ = engine.trial_bytes(alphabet**n_source, n_source, n_relay, n_dest, marginal)
+    batch = engine._batch_size(alphabet**n_source, n_source, n_relay, n_dest, marginal)
+    build_codebook(alphabet, n_source)  # cached across calls, so not a batch's memory
+    for spec in SPECS:
+        tracemalloc.start()
+        try:
+            count_errors(n_source, n_relay, n_dest, alphabet, (spec,), 4.0, 0, 0, 0, batch,
+                         detector=detector, marginal_samples=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * batch * size, spec
