@@ -109,7 +109,7 @@ def unrank_assignment(rank, n_antennas, group_size):
     remaining entries are exactly those below count * j / t.
     """
     pool, total, _ = _assignment_layout(n_antennas, group_size)
-    if not isinstance(rank, int) or not 0 <= rank < total:
+    if not isinstance(rank, int) or isinstance(rank, bool) or not 0 <= rank < total:
         raise ValueError(f"rank must be in [0, {total}), got {rank!r}")
     remaining = list(pool)
     count = total

@@ -51,7 +51,7 @@ from .channel import snr_db_to_sigma2
 # the caps are re-exported, so qfrelay.config.MAX_CANDIDATES and
 # qfrelay.config.MAX_TRIAL_BYTES resolve beside the config they bound
 from .engine import MAX_CANDIDATES, MAX_TRIAL_BYTES, check_point
-from .quantizers import KINDS, PARAM_KEYS, QuantizerSpec, check_count
+from .quantizers import KINDS, PARAM_KEYS, QuantizerSpec, check_count, check_key
 
 
 class ConfigError(Exception):
@@ -93,10 +93,7 @@ class SweepConfig:
                         self.detector, self.marginal_samples)
             check_count("trials_per_point", self.trials_per_point)
             check_count("workers", self.workers)
-            if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-                raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-            if not self.specs:
-                raise ValueError("at least one [spec] block is required")
+            check_key("seed", self.seed)
             if not self.snr_db_grid:
                 raise ValueError("snr_db_grid must not be empty")
             # each point is checked, its type first, before the points are compared

@@ -26,9 +26,11 @@ which :func:`marginalized_scores` computes.  The single-trial reference
 takes that argmin or argmax directly, so it checks the search rather than
 sharing it.
 
-:func:`check_point` is the one check of a link point (dims, M, specs,
-detector and L), which ``SweepConfig``, ``PointConfig`` and
-:func:`count_errors` all call.  One byte rule, :func:`trial_bytes`, the
+:func:`check_point` is the one check of a link point (dims, M, a
+non-empty spec list, detector and L), which ``SweepConfig``,
+``PointConfig`` and :func:`count_errors` all call.  The keys of the trial
+streams (seed, SNR index, trial indices) are checked once per call with
+``quantizers.check_key``.  One byte rule, :func:`trial_bytes`, the
 largest of a trial's draws, full-C products and marginalized block stack,
 both sizes every batch (:func:`_batch_size`) and caps every point, at
 ``MAX_TRIAL_BYTES``; with ``MAX_CANDIDATES`` on C = M**n_s, those are the
@@ -43,7 +45,8 @@ import numpy as np
 
 from .channel import _matvec, sample_links, sample_noise, snr_db_to_sigma2, trial_stream
 from .codebook import SUPPORTED_ALPHABETS, build_codebook
-from .quantizers import CandidateBasis, candidate_relay_symbols, check_count, relay_symbols
+from .quantizers import (CandidateBasis, candidate_relay_symbols, check_count, check_key,
+                         relay_symbols)
 
 # bytes a batch's largest array family, batch x :func:`trial_bytes`, may
 # take: every spec's candidate work is bandwidth-bound, and at half of a
@@ -338,6 +341,8 @@ def check_point(n_source, n_relay, n_dest, alphabet, specs, detector, marginal_s
         raise ValueError(f"M must be one of {SUPPORTED_ALPHABETS}, got {alphabet!r}")
     if detector not in DETECTORS:
         raise ValueError(f"detector must be one of {DETECTORS}, got {detector!r}")
+    if not specs:
+        raise ValueError(f"specs must hold at least one relay method, got {specs!r}")
     for spec in specs:
         spec.validate_for(n_relay)
     # M is a power of two, so C = 2**(n_s log2 M); past 64 antennas C is
@@ -370,6 +375,9 @@ def count_errors(n_source, n_relay, n_dest, alphabet, specs, snr_db, snr_index,
     ``len(specs)`` bit-error counts.
     """
     check_point(n_source, n_relay, n_dest, alphabet, specs, detector, marginal_samples)
+    for name, key in (("seed", seed), ("snr_index", snr_index), ("trial_start", trial_start),
+                      ("trial_stop", trial_stop)):
+        check_key(name, key)
     if batch_size is not None:
         check_count("batch_size", batch_size, (int, np.integer))
     codebook = build_codebook(alphabet, n_source)

@@ -28,8 +28,8 @@ from .channel import (
     trial_stream,
 )
 from .codebook import build_codebook
-from .quantizers import (AF, QuantizerSpec, check_count, relay_state, relay_symbols,
-                         relay_symbols_from_state)
+from .quantizers import (AF, QuantizerSpec, check_count, check_key, relay_state,
+                         relay_symbols, relay_symbols_from_state)
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,7 @@ class PointConfig:
         engine.check_point(self.n_source, self.n_relay, self.n_dest, self.alphabet,
                            (self.spec,), self.detector, self.marginal_samples)
         snr_db_to_sigma2(self.snr_db)
+        check_key("snr_index", self.snr_index)
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,8 @@ def run_trial(point, trial_index, seed):
     consumed in a fixed order: message, SR/SD/RD channels, SR/SD/RD noise,
     then the detector's relay-noise samples when marginalizing.
     """
+    check_key("trial_index", trial_index)
+    check_key("seed", seed)
     codebook = build_codebook(point.alphabet, point.n_source)
     sigma2 = snr_db_to_sigma2(point.snr_db)
     noise = NoiseModel(sigma2)

@@ -5,15 +5,23 @@ quantization (U-APQ), hybrid amplitude-phase quantization (H-APQ, built on
 ordered amplitude quantization, O-AQ) and the amplify-forward baseline,
 plus the memory-bit accounting for each method.
 
-Every method quantizes along one path.  The public entry points
-(:func:`relay_symbols` and :func:`relay_state`) check their input once: it
-must be complex-convertible, fit the spec's antenna count and be finite.
-The checked vectors become a :class:`CandidateBasis`, their polar view with
-the phase indices, amplitude ranks and norms memoized, and one per-kind
-kernel in :func:`candidate_relay_symbols` maps that basis to relay symbols.
-The engine builds the same basis over its candidate stacks, so a single
-received vector, a relay batch and a Monte Carlo candidate stack are
-quantized by the same code.  No kernel sees unchecked data; the last axis
+Every quantizing method is written as two halves.  The quantize half maps
+a :class:`CandidateBasis` (the polar view of checked inputs, with phase
+indices, amplitude ranks and norms memoized) to the codes the relay stores:
+the phase indices, plus U-APQ's amplitude bins or, for H-APQ, the flat
+offsets (level - 1) * 2**qbar + phase index into its gain-phasor table.
+The rebuild half maps those codes to relay symbols.  Every entry point is
+made of the two: :func:`candidate_relay_symbols` rebuilds what it quantizes
+(AF, which stores nothing, scales its input to unit power),
+:func:`relay_state` keeps the quantized codes in a :class:`RelayState` and
+:func:`relay_symbols_from_state` rebuilds from a state's codes.  The engine
+builds the same basis over its candidate stacks, so a single received
+vector, a relay batch, a Monte Carlo candidate stack and a stored state
+reach one rebuild per method.
+
+The public entry points (:func:`relay_symbols` and :func:`relay_state`)
+check their input once: it must be complex-convertible, fit the spec's
+antenna count and be finite.  No half sees unchecked data; the last axis
 is the antenna axis and any leading axes are independent inputs.  The
 public helpers ``wrap_phase``, ``amplitude_bin`` and
 ``ordered_amplitude_quantize`` keep their own input checks.
@@ -73,6 +81,18 @@ def check_count(name, value, kinds=int):
     """
     if not isinstance(value, kinds) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be a positive int, got {value!r}")
+
+
+def check_key(name, value):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a
+    non-negative Python or numpy int, bools excluded.
+
+    The one rule for the keys of a trial's random stream: seeds, SNR
+    indices and trial indices, which the public entry points check once
+    per call.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -219,16 +239,6 @@ def uniform_phase_quantize(theta, bits):
 
 
 # ---------------------------------------------------------------------------
-# U-PQ
-# ---------------------------------------------------------------------------
-
-def upq_symbols_from_indices(indices, bits, n_antennas):
-    """Relay symbols e^{j*angle}/sqrt(N_R) for stored phase indices."""
-    scale = 1.0 / math.sqrt(n_antennas)
-    return sector_phasor(indices, bits) * scale
-
-
-# ---------------------------------------------------------------------------
 # Uniform amplitude quantization (the amplitude half of U-APQ)
 # ---------------------------------------------------------------------------
 
@@ -264,10 +274,6 @@ def uniform_amplitude_quantize(values, bits):
     return bin_center(amplitude_bin(values, bits), bits)
 
 
-# ---------------------------------------------------------------------------
-# U-APQ
-# ---------------------------------------------------------------------------
-
 def _vector_norm(amps):
     return np.sqrt(np.einsum("...i,...i->...", amps, amps))
 
@@ -276,27 +282,6 @@ def _vector_norm(amps):
 # subnormal or zero
 _TINY = float(np.finfo(float).tiny)
 _SQRT_TINY = math.sqrt(_TINY)
-
-
-def uapq_symbols_from_parts(indices, bins, total_bits, phase_bits):
-    """Relay symbols from stored U-APQ phase indices and amplitude bins."""
-    gains = _bin_center_table(total_bits - phase_bits)[bins]
-    gains /= _vector_norm(gains)[..., None]
-    symbols = sector_phasor(indices, phase_bits)
-    symbols *= gains
-    return symbols
-
-
-def uapq_amplitude_bins(amps, norms, amplitude_bits):
-    """U-APQ amplitude bins: each amplitude over its vector's norm, binned.
-
-    ``norms`` is ``CandidateBasis.norms()``, nonzero and shared by every
-    budget quantized from the same amplitudes.
-    """
-    ratios = amps / norms[..., None]
-    # float roundoff can push the largest ratio a hair above 1
-    np.minimum(ratios, 1.0, out=ratios)
-    return amplitude_bin(ratios, amplitude_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +413,6 @@ def check_oaq_assignment(assignment, n_antennas, group_size):
         raise ValueError(f"level multiplicities {counts} violate the O-AQ grouping {expected}")
 
 
-def oaq_levels_for_ranks(ranks, group_size):
-    """Level index (1-based) assigned to each ascending-sort rank.
-
-    A rank r < n takes level r // m + 1, at most K, as in the multiset.
-    """
-    return ranks // group_size + 1
-
-
 def ordered_amplitude_quantize(amps, level_set):
     """O-AQ: assign levels by amplitude rank, group_size antennas per level.
 
@@ -448,13 +425,13 @@ def ordered_amplitude_quantize(amps, level_set):
         )
     if not np.all(np.isfinite(a)) or np.any(a < 0):
         raise ValueError("amplitudes must be finite and non-negative")
-    ranks = oaq_sort_ranks(a)
-    assignment = oaq_levels_for_ranks(ranks, level_set.group_size)
+    # a rank r < n takes level r // m + 1, at most K, as in the multiset
+    assignment = oaq_sort_ranks(a) // level_set.group_size + 1
     return level_set.levels[assignment - 1], assignment
 
 
 # ---------------------------------------------------------------------------
-# The polar basis and the one kernel per kind
+# The polar basis and the two halves of every quantizing method
 # ---------------------------------------------------------------------------
 
 class CandidateBasis:
@@ -462,12 +439,14 @@ class CandidateBasis:
 
     ``values`` holds complex relay inputs, antennas on the last axis: a
     single received vector, a relay batch of them, or the engine's
-    candidate stacks.  The angles, amplitudes, phase indices, amplitude
-    sort ranks, vector norms and H-APQ table offsets are shared by every
-    quantizer evaluated on the same inputs, so each is computed once per
-    basis, on first use: a kind computes only what it reads.  The inputs
-    are finite: they passed the entry check of ``relay_symbols`` or
-    ``relay_state``, or are products of finite draws.
+    candidate stacks.  It is what the quantize half of every method reads.
+    The angles, amplitudes, phase indices, amplitude sort ranks, vector
+    norms and H-APQ table offsets are shared by every quantizer evaluated
+    on the same inputs, so each is computed once per basis, on first use:
+    a kind computes only what it reads.  The phase indices and the offsets
+    are stored codes themselves, which the rebuild half turns into
+    symbols.  The inputs are finite: they passed the entry check of
+    ``relay_symbols`` or ``relay_state``, or are products of finite draws.
 
     ``held`` keeps the last spec's candidate stack alive until the next
     spec's replaces it.  Freed when its scoring function returns, the whole
@@ -573,27 +552,54 @@ def _hapq_tables(phase_bits, group_size, level_exponent, n_antennas):
     return gain_phasor
 
 
-def candidate_relay_symbols(spec, basis):
-    """Relay symbols of one method from a basis: the kernel of every kind."""
-    n_antennas = basis.values.shape[-1]
+def _quantize(spec, basis):
+    """The quantize half of a method: the codes the relay stores, as arrays.
+
+    U-PQ stores its phase indices, U-APQ a pair of phase indices and
+    amplitude bins, and H-APQ the flat offsets (level - 1) * 2**qbar +
+    phase index of its gain-phasor table, which hold both of its fields.
+    """
     if spec.kind == UPQ:
-        indices = basis.phase_indices(spec.total_bits)
-        return upq_symbols_from_indices(indices, spec.total_bits, n_antennas)
+        return basis.phase_indices(spec.total_bits)
     if spec.kind == UAPQ:
-        bins = uapq_amplitude_bins(basis.amps(), basis.norms(), spec.amplitude_bits)
-        indices = basis.phase_indices(spec.phase_bits)
-        return uapq_symbols_from_parts(indices, bins, spec.total_bits, spec.phase_bits)
-    if spec.kind == HAPQ:
-        bits = spec.phase_bits
-        level_set = build_level_set(n_antennas, spec.group_size, spec.level_exponent)
-        offsets = basis.level_phase_offsets(spec.group_size, bits)
-        if level_set.num_levels << bits <= _HAPQ_TABLE_ENTRIES:
-            table = _hapq_tables(bits, spec.group_size, spec.level_exponent, n_antennas)
-            return table.take(offsets)
-        # the table's real x complex product, for the entries used only
-        gains = level_set.levels.take(offsets >> bits)
-        return gains * _phasor_table(bits).take(offsets & ((1 << bits) - 1))
-    return basis.values / basis.norms()[..., None]
+        # each amplitude over its vector's norm, binned; float roundoff can
+        # push the largest ratio a hair above 1.  The bins replace the ratios
+        # before the phase indices are computed, which frees the float array
+        # first: holding it cost the marginalized engine about 5%
+        bins = basis.amps() / basis.norms()[..., None]
+        bins = amplitude_bin(np.minimum(bins, 1.0, out=bins), spec.amplitude_bits)
+        return basis.phase_indices(spec.phase_bits), bins
+    return basis.level_phase_offsets(spec.group_size, spec.phase_bits)
+
+
+def _rebuild(spec, codes, n_antennas):
+    """The rebuild half of a method: relay symbols from its stored codes."""
+    if spec.kind == UPQ:
+        return sector_phasor(codes, spec.total_bits) * (1.0 / math.sqrt(n_antennas))
+    if spec.kind == UAPQ:
+        indices, bins = codes
+        gains = _bin_center_table(spec.amplitude_bits)[bins]
+        gains /= _vector_norm(gains)[..., None]
+        symbols = sector_phasor(indices, spec.phase_bits)
+        symbols *= gains
+        return symbols
+    bits = spec.phase_bits
+    level_set = build_level_set(n_antennas, spec.group_size, spec.level_exponent)
+    if level_set.num_levels << bits <= _HAPQ_TABLE_ENTRIES:
+        return _hapq_tables(bits, spec.group_size, spec.level_exponent, n_antennas).take(codes)
+    # the table's real x complex product, for the entries used only
+    gains = level_set.levels.take(codes >> bits)
+    return gains * _phasor_table(bits).take(codes & ((1 << bits) - 1))
+
+
+def candidate_relay_symbols(spec, basis):
+    """Relay symbols of one method from a basis: rebuild what is quantized.
+
+    AF stores nothing; it scales its input to unit power.
+    """
+    if spec.kind == AF:
+        return basis.values / basis.norms()[..., None]
+    return _rebuild(spec, _quantize(spec, basis), basis.values.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -725,29 +731,27 @@ def relay_state(received, spec):
         raise ValueError("AF keeps the continuous signal; it has no relay state")
     if np.ndim(received) != 1:
         raise ValueError("relay_state expects a single received vector")
-    basis = CandidateBasis(_checked_received(received, spec))
+    codes = _quantize(spec, CandidateBasis(_checked_received(received, spec)))
     if spec.kind == UPQ:
-        return RelayState(spec, tuple(basis.phase_indices(spec.total_bits).tolist()))
-    indices = tuple(basis.phase_indices(spec.phase_bits).tolist())
+        return RelayState(spec, tuple(codes.tolist()))
     if spec.kind == UAPQ:
-        bins = uapq_amplitude_bins(basis.amps(), basis.norms(), spec.amplitude_bits)
-        return RelayState(spec, indices, amplitude_bins=tuple(bins.tolist()))
-    levels = oaq_levels_for_ranks(basis.ranks(), spec.group_size)
-    return RelayState(spec, indices, amplitude_assignment=tuple(levels.tolist()))
+        indices, bins = codes
+        return RelayState(spec, tuple(indices.tolist()), amplitude_bins=tuple(bins.tolist()))
+    bits = spec.phase_bits
+    return RelayState(spec, tuple((codes & ((1 << bits) - 1)).tolist()),
+                      amplitude_assignment=tuple(((codes >> bits) + 1).tolist()))
 
 
 def relay_symbols_from_state(state):
-    """Rebuild the relay transmit vector from a stored state."""
+    """Rebuild the relay transmit vector from a stored state's codes."""
     spec = state.spec
-    indices = np.asarray(state.phase_indices, dtype=np.int64)
-    if spec.kind == UPQ:
-        return upq_symbols_from_indices(indices, spec.total_bits, state.n_antennas)
+    codes = np.asarray(state.phase_indices, dtype=np.int64)
     if spec.kind == UAPQ:
-        bins = np.asarray(state.amplitude_bins, dtype=np.int64)
-        return uapq_symbols_from_parts(indices, bins, spec.total_bits, spec.phase_bits)
-    level_set = build_level_set(state.n_antennas, spec.group_size, spec.level_exponent)
-    assignment = np.asarray(state.amplitude_assignment, dtype=np.int64)
-    return level_set.levels[assignment - 1] * sector_phasor(indices, spec.phase_bits)
+        codes = codes, np.asarray(state.amplitude_bins, dtype=np.int64)
+    elif spec.kind == HAPQ:
+        # the H-APQ table offset (level - 1) * 2**qbar + phase index
+        codes += (np.asarray(state.amplitude_assignment, dtype=np.int64) - 1) << spec.phase_bits
+    return _rebuild(spec, codes, state.n_antennas)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,9 @@ def test_rank_rejects_bad_input():
         unrank_assignment(6, 4, 2)  # out of range
     with pytest.raises(ValueError):
         unrank_assignment(-1, 4, 2)
+    # a bool is not a rank, as it is not a payload; True used to unrank as 1
+    with pytest.raises(ValueError, match="rank must be in"):
+        unrank_assignment(True, 4, 2)
 
 
 # entries a stored or hand-built assignment may hold in place of a level

@@ -185,8 +185,14 @@ def test_sweep_config_direct_validation():
         SweepConfig(4, True, 4, 4, (spec,), (0.0,), 10, 1)
     with pytest.raises(ConfigValidationError, match="trials_per_point"):
         SweepConfig(4, 4, 4, 4, (spec,), (0.0,), True, 1)
-    with pytest.raises(ConfigValidationError, match="seed"):
-        SweepConfig(4, 4, 4, 4, (spec,), (0.0,), 10, True)
+    # seeds take the stream-key rule that count_errors and run_trial apply
+    for seed in (True, -1, 1.5):
+        with pytest.raises(ConfigValidationError,
+                           match=f"seed must be a non-negative int, got {seed!r}"):
+            SweepConfig(4, 4, 4, 4, (spec,), (0.0,), 10, seed)
+    # the non-empty rule is check_point's, as for count_errors
+    with pytest.raises(ConfigValidationError, match="specs must hold at least one relay method"):
+        SweepConfig(4, 4, 4, 4, (), (0.0,), 10, 1)
     with pytest.raises(ConfigValidationError, match="workers"):
         SweepConfig(4, 4, 4, 4, (spec,), (0.0,), 10, 1, workers=True)
     # the bounds themselves are accepted, as are q = 16 and qbar = 15

@@ -143,7 +143,9 @@ def test_hapq_gain_phasor_table_matches_formula():
 def test_engine_counts_equal_reference_trials(detector, samples, snr_db):
     seed = 20260401
     n_trials = 60
-    for spec in SPECS:
+    # qbar = 11, m = 1 at N_R = 4 has 4 * 2**11 = 8192 table entries, above
+    # _HAPQ_TABLE_ENTRIES, so both sides of the one H-APQ rebuild are pinned
+    for spec in SPECS + (QuantizerSpec(HAPQ, phase_bits=11, group_size=1),):
         point = PointConfig(
             spec=spec, n_source=4, n_relay=4, n_dest=4, alphabet=4,
             snr_db=snr_db, snr_index=2, detector=detector,
@@ -264,10 +266,31 @@ def test_engine_rejects_over_cap_points_before_allocating(n_source, alphabet, de
         tracemalloc.stop()
 
 
+def test_engine_needs_a_spec():
+    # numpy's "need at least one array to stack" used to come from block_picks
+    with pytest.raises(ValueError, match=r"specs must hold at least one relay method, got \(\)"):
+        count_errors(2, 2, 2, 4, (), 2.0, 0, 7, 0, 3)
+
+
+_KEYS = ("snr_index", "seed", "trial_start", "trial_stop")
+
+
+@pytest.mark.parametrize("name", _KEYS)
+# a negative key failed inside SeedSequence without its name, a float raised
+# TypeError there, and True ran as key 1
+@pytest.mark.parametrize("value", [-1, 1.5, True, "1"])
+def test_engine_checks_stream_keys_at_entry(name, value):
+    keys = dict(zip(_KEYS, (0, 7, 0, 3)), **{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be a non-negative int, got {value!r}"):
+        count_errors(2, 2, 2, 4, SPECS[:1], 2.0, **keys)
+
+
 def test_engine_takes_numpy_int_sizes():
-    base = count_errors(4, 4, 4, 4, SPECS[:2], 4.0, 0, 0, 0, 20, detector="marginalized",
+    # and numpy int stream keys
+    base = count_errors(4, 4, 4, 4, SPECS[:2], 4.0, 1, 7, 2, 22, detector="marginalized",
                         marginal_samples=3, batch_size=7)
-    again = count_errors(4, 4, 4, 4, SPECS[:2], 4.0, 0, 0, 0, 20, detector="marginalized",
+    again = count_errors(4, 4, 4, 4, SPECS[:2], 4.0, np.int64(1), np.uint32(7), np.int8(2),
+                         np.int64(22), detector="marginalized",
                          marginal_samples=np.int64(3), batch_size=np.int32(7))
     assert np.array_equal(base, again)
 

@@ -16,14 +16,15 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from qfrelay.quantizers import (
     HAPQ,
     TWO_PI,
+    UAPQ,
     QuantizerSpec,
     RelayState,
+    _rebuild,
     amplitude_bin,
     bin_center,
     oaq_sort_ranks,
     phase_index,
     sector_phasor,
-    uapq_symbols_from_parts,
     wrap_phase,
 )
 
@@ -185,8 +186,9 @@ def test_uapq_symbols_match_product_formula(rows, n, phase_bits, amp_bits, seed)
     indices = rng.integers(0, 1 << phase_bits, size=(rows, n))
     bins = rng.integers(0, 1 << amp_bits, size=(rows, n))
     total_bits = phase_bits + amp_bits
+    spec = QuantizerSpec(UAPQ, total_bits=total_bits, phase_bits=phase_bits)
     assert _same_bits(
-        uapq_symbols_from_parts(indices, bins, total_bits, phase_bits),
+        _rebuild(spec, (indices, bins), n),
         _uapq_reference(indices, bins, total_bits, phase_bits),
     )
 

@@ -225,6 +225,23 @@ def test_point_config_validation():
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("value", [-1, 1.5, True, None])
+def test_stream_keys_are_checked_at_entry(value):
+    # a negative key failed inside SeedSequence without its name, a float
+    # raised TypeError there, True ran as key 1, and a PointConfig with a
+    # negative snr_index was built and failed only in run_trial
+    point = _point(ALL_SPECS[1])
+    for name, call in (
+        ("trial_index", lambda: run_trial(point, value, 7)),
+        ("seed", lambda: run_trial(point, 3, value)),
+        ("snr_index", lambda: PointConfig(spec=ALL_SPECS[1], n_source=4, n_relay=4, n_dest=4,
+                                          alphabet=4, snr_db=10.0, snr_index=value)),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative int, got {value!r}"):
+            call()
+    assert run_trial(point, np.int64(3), np.uint16(7)) == run_trial(point, 3, 7)
+
+
 @pytest.mark.parametrize("n_samples", [2.5, True, "3"])
 def test_detect_marginalized_rejects_bad_sample_counts(n_samples):
     # each used to raise a TypeError from inside the draw or the comparison

@@ -22,7 +22,6 @@ from qfrelay.quantizers import (
     hapq_relay_symbols,
     oaq_codeword_count,
     oaq_level_multiset,
-    oaq_levels_for_ranks,
     oaq_sort_ranks,
     ordered_amplitude_quantize,
     quantizer_bits,
@@ -304,7 +303,10 @@ def test_grouping_read_from_the_multiset_is_bitwise_the_closed_form():
     for n_antennas in range(1, 65):
         for group_size in range(1, n_antennas + 1):
             pool = oaq_level_multiset(n_antennas, group_size)
-            assert oaq_levels_for_ranks(np.arange(n_antennas), group_size).tolist() == list(pool)
+            # ascending amplitudes: antenna i takes the level of rank i
+            amps = np.arange(1.0, n_antennas + 1)
+            _, levels = ordered_amplitude_quantize(amps, build_level_set(n_antennas, group_size))
+            assert levels.tolist() == list(pool)
             num_levels = -(-n_antennas // group_size)
             count = math.prod(
                 math.comb(n_antennas - k * group_size, group_size) for k in range(num_levels - 1)
@@ -450,10 +452,6 @@ def test_oaq_rank_paths_agree():
             ranks, order, np.broadcast_to(np.arange(n), order.shape), axis=-1
         )
         assert np.array_equal(small_path, ranks)
-        assert np.array_equal(
-            oaq_levels_for_ranks(small_path, 2),
-            oaq_levels_for_ranks(ranks, 2),
-        )
 
 
 def test_oaq_rejects_bad_input():
@@ -690,24 +688,54 @@ def test_state_reconstruction_is_bitwise():
             assert np.array_equal(relay_symbols_from_state(state), direct)
 
 
-def test_hapq_decode_builds_no_gain_phasor_table():
+def test_hapq_decode_keeps_the_table_cache_bounded(monkeypatch):
     # a decoded state's spec and N_R come from outside the program (container
-    # headers), so decoding must not grow the candidate kernel's table cache
+    # headers).  Decoding rebuilds through the candidate path's table cache,
+    # which is bounded: however many small (spec, N_R) pairs it decodes, the
+    # cache holds at most 64 tables of at most 4096 entries, and a spec above
+    # the bound builds none
+    from qfrelay import quantizers
     from qfrelay.bitcodec import (
         decode_relay_state,
         encode_relay_state,
         pack_container,
         unpack_container,
     )
-    from qfrelay.quantizers import _hapq_tables
+
+    tables = quantizers._hapq_tables
+    sizes = []  # entries of every table the cache hands out
+
+    def spy(*key):
+        table = tables(*key)
+        sizes.append(table.size)
+        return table
+
+    monkeypatch.setattr(quantizers, "_hapq_tables", spy)
+
+    def decode(y, spec):
+        data = pack_container(encode_relay_state(relay_state(y, spec)))
+        return relay_symbols_from_state(decode_relay_state(unpack_container(data)))
+
+    rng = np.random.default_rng(16)
+    pairs = [(spec_hapq(qbar=qbar, m=m, n=n), n_r) for n_r in (2, 3, 4, 5)
+             for qbar in (1, 2, 3, 4) for m in (1, 2) for n in (1, 2, 3)]
+    tables.cache_clear()
+    for spec, n_r in pairs:
+        y = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
+        calls = len(sizes)
+        decoded = decode(y, spec)
+        assert len(sizes) == calls + 1  # the decode took its table
+        assert decoded.tobytes() == relay_symbols(y, spec).tobytes(), (spec.label(), n_r)
+    info = tables.cache_info()
+    assert info.misses == len(pairs) > 64
+    assert info.currsize <= 64
+    assert max(sizes) <= quantizers._HAPQ_TABLE_ENTRIES
 
     spec = spec_hapq(qbar=16, m=1)
     y = np.array([1 + 2j, -0.5j, 3.0, -1 - 1j])
-    _hapq_tables.cache_clear()
-    data = pack_container(encode_relay_state(relay_state(y, spec)))
-    decoded = relay_symbols_from_state(decode_relay_state(unpack_container(data)))
+    decoded = decode(y, spec)
     wrapped, _ = hapq_relay_symbols(y, 16, 1)
-    assert _hapq_tables.cache_info().currsize == 0
+    assert tables.cache_info() == info
     assert np.array_equal(decoded, relay_symbols(y, spec))
     assert np.array_equal(wrapped, decoded)
 
