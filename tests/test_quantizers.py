@@ -688,19 +688,40 @@ def test_state_reconstruction_is_bitwise():
             assert np.array_equal(relay_symbols_from_state(state), direct)
 
 
-def test_hapq_decode_keeps_the_table_cache_bounded(monkeypatch):
-    # a decoded state's spec and N_R come from outside the program (container
-    # headers).  Decoding rebuilds through the candidate path's table cache,
-    # which is bounded: however many small (spec, N_R) pairs it decodes, the
-    # cache holds at most 64 tables of at most 4096 entries, and a spec above
-    # the bound builds none
-    from qfrelay import quantizers
+def _decode(y, spec):
+    # quantize, store and pack a relay state, then unpack and rebuild it, as a
+    # relay does with a container whose spec and N_R come from its header
     from qfrelay.bitcodec import (
         decode_relay_state,
         encode_relay_state,
         pack_container,
         unpack_container,
     )
+
+    data = pack_container(encode_relay_state(relay_state(y, spec)))
+    return relay_symbols_from_state(decode_relay_state(unpack_container(data)))
+
+
+def test_hapq_decode_builds_no_gain_phasor_table():
+    # a decoded spec above the table bound rebuilds without a table, so a
+    # container header cannot make the decoder build one of any size
+    from qfrelay.quantizers import _hapq_tables
+
+    spec = spec_hapq(qbar=16, m=1)
+    y = np.array([1 + 2j, -0.5j, 3.0, -1 - 1j])
+    _hapq_tables.cache_clear()
+    decoded = _decode(y, spec)
+    wrapped, _ = hapq_relay_symbols(y, 16, 1)
+    assert _hapq_tables.cache_info().currsize == 0
+    assert np.array_equal(decoded, relay_symbols(y, spec))
+    assert np.array_equal(wrapped, decoded)
+
+
+def test_hapq_decode_keeps_the_table_cache_bounded(monkeypatch):
+    # decoding small specs rebuilds through the candidate path's table cache,
+    # which is bounded: however many small (spec, N_R) pairs it decodes, the
+    # cache holds at most 64 tables of at most 4096 entries
+    from qfrelay import quantizers
 
     tables = quantizers._hapq_tables
     sizes = []  # entries of every table the cache hands out
@@ -712,10 +733,6 @@ def test_hapq_decode_keeps_the_table_cache_bounded(monkeypatch):
 
     monkeypatch.setattr(quantizers, "_hapq_tables", spy)
 
-    def decode(y, spec):
-        data = pack_container(encode_relay_state(relay_state(y, spec)))
-        return relay_symbols_from_state(decode_relay_state(unpack_container(data)))
-
     rng = np.random.default_rng(16)
     pairs = [(spec_hapq(qbar=qbar, m=m, n=n), n_r) for n_r in (2, 3, 4, 5)
              for qbar in (1, 2, 3, 4) for m in (1, 2) for n in (1, 2, 3)]
@@ -723,21 +740,13 @@ def test_hapq_decode_keeps_the_table_cache_bounded(monkeypatch):
     for spec, n_r in pairs:
         y = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
         calls = len(sizes)
-        decoded = decode(y, spec)
+        decoded = _decode(y, spec)
         assert len(sizes) == calls + 1  # the decode took its table
         assert decoded.tobytes() == relay_symbols(y, spec).tobytes(), (spec.label(), n_r)
     info = tables.cache_info()
     assert info.misses == len(pairs) > 64
     assert info.currsize <= 64
     assert max(sizes) <= quantizers._HAPQ_TABLE_ENTRIES
-
-    spec = spec_hapq(qbar=16, m=1)
-    y = np.array([1 + 2j, -0.5j, 3.0, -1 - 1j])
-    decoded = decode(y, spec)
-    wrapped, _ = hapq_relay_symbols(y, 16, 1)
-    assert tables.cache_info() == info
-    assert np.array_equal(decoded, relay_symbols(y, spec))
-    assert np.array_equal(wrapped, decoded)
 
 
 def test_state_validation():
