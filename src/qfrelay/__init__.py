@@ -31,8 +31,6 @@ from .config import (
 from .link import (
     PointConfig,
     TrialOutcome,
-    detect_marginalized,
-    detect_mismatched,
     relay_process,
     run_trial,
 )
@@ -44,19 +42,15 @@ from .quantizers import (
     LevelSet,
     QuantizerSpec,
     RelayState,
-    af_relay_symbols,
     build_level_set,
-    hapq_relay_symbols,
     oaq_codeword_count,
     ordered_amplitude_quantize,
     quantizer_bits,
     relay_state,
     relay_symbols,
     relay_symbols_from_state,
-    uapq_relay_symbols,
     uniform_amplitude_quantize,
     uniform_phase_quantize,
-    upq_relay_symbols,
     wrap_phase,
 )
 from .sweep import (

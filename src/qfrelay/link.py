@@ -6,9 +6,14 @@ write to and reload from relay memory), and retransmits in the second
 slot.  The destination detects the message from the direct and relayed
 observations with genie channel knowledge.
 
-:func:`run_trial` is the single-trial reference path.  Its detectors score
-through the engine's scoring function for each detector with a batch of
-one, so the batched engine reproduces its outcomes bit for bit.
+:func:`run_trial` is the single-trial reference path.  It detects with the
+engine's reference detectors: the argmin of
+:func:`~qfrelay.engine.mismatched_metrics`, or the argmax of
+:func:`~qfrelay.engine.marginalized_scores` over L relay-noise samples it
+draws from the trial's stream.  Both score with a batch of one through the
+engine's scoring function for the detector, so the batched engine
+reproduces its outcomes bit for bit; ties resolve to the smallest message
+index.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from .channel import (
     trial_stream,
 )
 from .codebook import build_codebook
-from .quantizers import (AF, QuantizerSpec, check_count, check_key, relay_state,
-                         relay_symbols, relay_symbols_from_state)
+from .quantizers import (AF, QuantizerSpec, check_key, relay_state, relay_symbols,
+                         relay_symbols_from_state)
 
 
 @dataclass(frozen=True)
@@ -81,38 +86,6 @@ def relay_process(received, spec):
     return relay_symbols_from_state(restored)
 
 
-def detect_mismatched(y_sd, y_rd, links, codebook, spec, sigma2):
-    """Most likely message under the noiseless-relay surrogate.
-
-    Minimizes the summed squared SD and RD distances; with equal noise
-    variance on both links the common 1/sigma2 weight cancels, so sigma2
-    is accepted only for interface symmetry with the marginalized
-    detector.  Ties resolve to the smallest message index.
-    """
-    del sigma2
-    metrics = engine.mismatched_metrics(
-        y_sd, y_rd, links.h_sd, links.h_sr, links.h_rd, codebook.codewords, spec
-    )
-    return int(np.argmin(metrics))
-
-
-def detect_marginalized(y_sd, y_rd, links, codebook, spec, sigma2, n_samples, rng):
-    """Near-ML detection marginalizing the relay noise by Monte Carlo.
-
-    Draws ``n_samples`` relay-noise vectors from ``rng`` and shares them
-    across all candidate messages (common random numbers), scoring each
-    candidate by a numerically stable log-sum-exp of the relay-noise
-    likelihood.
-    """
-    check_count("n_samples", n_samples, (int, np.integer))
-    noise = sample_noise((n_samples, links.n_relay), sigma2, rng)
-    scores = engine.marginalized_scores(
-        y_sd, y_rd, links.h_sd, links.h_sr, links.h_rd,
-        codebook.codewords, spec, sigma2, noise,
-    )
-    return int(np.argmax(scores))
-
-
 def run_trial(point, trial_index, seed):
     """Simulate one two-slot transmission, reproducibly.
 
@@ -135,13 +108,12 @@ def run_trial(point, trial_index, seed):
     x_relay = relay_process(y_sr, point.spec)
     y_rd = apply_link(links.h_rd, x_relay, noise, rng)
 
+    observed = (y_sd, y_rd, links.h_sd, links.h_sr, links.h_rd, codebook.codewords, point.spec)
     if point.detector == "mismatched":
-        detected = detect_mismatched(y_sd, y_rd, links, codebook, point.spec, sigma2)
+        detected = int(np.argmin(engine.mismatched_metrics(*observed)))
     else:
-        detected = detect_marginalized(
-            y_sd, y_rd, links, codebook, point.spec, sigma2,
-            point.marginal_samples, rng,
-        )
+        samples = sample_noise((point.marginal_samples, point.n_relay), sigma2, rng)
+        detected = int(np.argmax(engine.marginalized_scores(*observed, sigma2, samples)))
     bit_errors = int(codebook.bit_errors(sent, detected))
     return TrialOutcome(
         sent=sent,

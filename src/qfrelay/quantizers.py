@@ -19,12 +19,17 @@ builds the same basis over its candidate stacks, so a single received
 vector, a relay batch, a Monte Carlo candidate stack and a stored state
 reach one rebuild per method.
 
-The public entry points (:func:`relay_symbols` and :func:`relay_state`)
-check their input once: it must be complex-convertible, fit the spec's
-antenna count and be finite.  No half sees unchecked data; the last axis
-is the antenna axis and any leading axes are independent inputs.  The
-public helpers ``wrap_phase``, ``amplitude_bin`` and
-``ordered_amplitude_quantize`` keep their own input checks.
+Every method is run through the same public entry points, which take a
+:class:`QuantizerSpec` rather than a method's parameters:
+``relay_symbols(y, spec)`` gives the transmit vector of any method, AF
+included, and for the quantizing methods ``relay_state(y, spec)`` gives
+the state a relay stores and ``relay_symbols_from_state(state)`` rebuilds
+from it.  The two that take received input check it once: it must be
+complex-convertible, fit the spec's antenna count and be finite.  No half
+sees unchecked data; the last axis is the antenna axis and any leading
+axes are independent inputs.  The public helpers ``wrap_phase``,
+``amplitude_bin`` and ``ordered_amplitude_quantize`` keep their own input
+checks.
 """
 
 from __future__ import annotations
@@ -165,27 +170,24 @@ class QuantizerSpec:
 def wrap_phase(theta):
     """Reduce an angle (radians) to the canonical [0, 2*pi) domain.
 
-    Exact shortcut: for |theta| <= 2*pi, fmod is exact, so np.mod(theta, 2*pi)
-    is theta, or theta + 2*pi when theta < 0, which is what the array path adds.
+    A scalar gives a ``float`` and an array a fresh array.  Exact shortcut:
+    for |theta| <= 2*pi, fmod is exact, so np.mod(theta, 2*pi) is theta, or
+    theta + 2*pi when theta < 0, which is what the shortcut adds.
     """
-    arr = np.asarray(theta, dtype=float)
-    if arr.ndim == 0:
-        if not np.isfinite(arr):
-            raise ValueError("phase must be finite")
-        wrapped = np.mod(arr, TWO_PI)
-        # mod can round up to exactly 2*pi for tiny negative inputs
-        return 0.0 if wrapped == TWO_PI else float(wrapped)
+    angles = np.atleast_1d(np.asarray(theta, dtype=float))
     # min and max carry a NaN through, so every entry here is finite
-    if arr.size and -TWO_PI <= arr.min() and arr.max() <= TWO_PI:
-        wrapped = (arr < 0).astype(float)
+    if angles.size and -TWO_PI <= angles.min() and angles.max() <= TWO_PI:
+        wrapped = (angles < 0).astype(float)
         wrapped *= TWO_PI
-        wrapped += arr
-    elif not np.all(np.isfinite(arr)):
+        wrapped += angles
+    elif not np.all(np.isfinite(angles)):
         raise ValueError("phase must be finite")
     else:
-        wrapped = np.mod(arr, TWO_PI)
+        wrapped = np.mod(angles, TWO_PI)
+    # a tiny negative input rounds up to exactly 2*pi, and 2*pi passes the
+    # shortcut unchanged
     wrapped[wrapped == TWO_PI] = 0.0
-    return wrapped
+    return float(wrapped[0]) if np.ndim(theta) == 0 else wrapped
 
 
 def phase_index(theta, bits):
@@ -193,23 +195,20 @@ def phase_index(theta, bits):
 
     Sector k covers ((2k-1)*pi/2**bits, (2k+1)*pi/2**bits], i.e. the upper
     boundary belongs to the lower sector, and the result is in
-    {0, ..., 2**bits - 1}.
+    {0, ..., 2**bits - 1}: an ``int`` for a scalar, an int64 array otherwise.
     """
     check_count("phase bits", bits)
-    wrapped = wrap_phase(theta)
+    wrapped = wrap_phase(np.atleast_1d(np.asarray(theta, dtype=float)))
     sectors = 1 << bits
-    if np.ndim(wrapped) == 0:
-        return int(np.ceil(wrapped * sectors / TWO_PI - 0.5)) % sectors
-    # ceil(theta * 2**bits / (2*pi) - 0.5) in the same operation order, in
-    # the fresh array wrap_phase returned; the index is non-negative, so
-    # masking equals the modulo
+    # ceil(theta * 2**bits / (2*pi) - 0.5) in the fresh array wrap_phase
+    # returned; the index is non-negative, so masking equals the modulo
     wrapped *= sectors
     wrapped /= TWO_PI
     wrapped -= 0.5
     np.ceil(wrapped, out=wrapped)
     index = wrapped.astype(np.int64)
     index &= sectors - 1
-    return index
+    return int(index[0]) if np.ndim(theta) == 0 else index
 
 
 def sector_angle(index, bits):
@@ -618,43 +617,13 @@ def _checked_received(received, spec):
 def relay_symbols(received, spec):
     """Relay processing of ``spec`` (no state capture).
 
-    Accepts batched input with antennas on the last axis.
+    Accepts batched input with antennas on the last axis.  U-APQ needs
+    every amplitude nonzero: over its vector's norm it lies in (0, 1],
+    which the bins over [0, 1) cover with 1 clamped into the top bin; a
+    zero entry raises "normalized amplitudes must lie in (0, 1]", and an
+    all-zero vector "received vector has zero norm" (for AF too).
     """
     return candidate_relay_symbols(spec, CandidateBasis(_checked_received(received, spec)))
-
-
-def upq_relay_symbols(received, bits):
-    """U-PQ relay output: quantized phases on the unit-power sphere."""
-    return relay_symbols(received, QuantizerSpec(UPQ, total_bits=bits))
-
-
-def uapq_relay_symbols(received, total_bits, phase_bits):
-    """U-APQ relay output: quantized phases and renormalized binned amplitudes.
-
-    Every amplitude must be nonzero.  Over its vector's norm it lies in
-    (0, 1], which the bins over [0, 1) cover with 1 clamped into the top
-    bin; a zero entry raises "normalized amplitudes must lie in (0, 1]",
-    and an all-zero vector "received vector has zero norm".
-    """
-    spec = QuantizerSpec(UAPQ, total_bits=total_bits, phase_bits=phase_bits)
-    return relay_symbols(received, spec)
-
-
-def hapq_relay_symbols(received, phase_bits, group_size, level_exponent=2):
-    """H-APQ relay output for one received vector, with its storable state."""
-    spec = QuantizerSpec(
-        HAPQ,
-        phase_bits=phase_bits,
-        group_size=group_size,
-        level_exponent=level_exponent,
-    )
-    state = relay_state(received, spec)
-    return relay_symbols_from_state(state), state
-
-
-def af_relay_symbols(received):
-    """Amplify-forward baseline: scale the received vector to unit power."""
-    return relay_symbols(received, QuantizerSpec(AF))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from qfrelay.quantizers import (
     oaq_codeword_count,
     quantizer_bits,
     relay_symbols,
-    upq_relay_symbols,
 )
 from qfrelay.sweep import run_ber_sweep, write_ber_csv
 
@@ -126,7 +125,7 @@ def test_criterion_4_equivalence_with_upq():
         n_r = 4
         y = rng.standard_normal((10_000, n_r)) + 1j * rng.standard_normal((10_000, n_r))
         via_hapq = relay_symbols(y, _hapq(m=n_r))
-        via_upq = upq_relay_symbols(y, 4)
+        via_upq = relay_symbols(y, QuantizerSpec(UPQ, total_bits=4))
         assert np.array_equal(via_hapq, via_upq)
 
 

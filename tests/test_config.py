@@ -193,6 +193,11 @@ def test_sweep_config_direct_validation():
     # the non-empty rule is check_point's, as for count_errors
     with pytest.raises(ConfigValidationError, match="specs must hold at least one relay method"):
         SweepConfig(4, 4, 4, 4, (), (0.0,), 10, 1)
+    # an entry that is not a spec used to raise AttributeError
+    for entry in ("x", None):
+        with pytest.raises(ConfigValidationError,
+                           match=f"specs must hold QuantizerSpec entries, got {entry!r}"):
+            SweepConfig(4, 4, 4, 4, (entry,), (0.0,), 10, 1)
     with pytest.raises(ConfigValidationError, match="workers"):
         SweepConfig(4, 4, 4, 4, (spec,), (0.0,), 10, 1, workers=True)
     # the bounds themselves are accepted, as are q = 16 and qbar = 15

@@ -267,9 +267,23 @@ def test_engine_rejects_over_cap_points_before_allocating(n_source, alphabet, de
 
 
 def test_engine_needs_a_spec():
-    # numpy's "need at least one array to stack" used to come from block_picks
-    with pytest.raises(ValueError, match=r"specs must hold at least one relay method, got \(\)"):
-        count_errors(2, 2, 2, 4, (), 2.0, 0, 7, 0, 3)
+    for specs, message in (
+        # numpy's "need at least one array to stack" used to come from block_picks
+        ((), r"specs must hold at least one relay method, got \(\)"),
+        # an AttributeError on validate_for used to come from check_point
+        (("x",), "specs must hold QuantizerSpec entries, got 'x'"),
+        ((None,), "specs must hold QuantizerSpec entries, got None"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            count_errors(2, 2, 2, 4, specs, 2.0, 0, 7, 0, 3)
+
+
+def test_engine_refuses_a_reversed_trial_range():
+    # a swapped pair of bounds used to count nothing, as an empty range does
+    af = [QuantizerSpec(AF)]
+    with pytest.raises(ValueError, match="^trial_start 5 exceeds trial_stop 3$"):
+        count_errors(2, 2, 2, 4, af, 2.0, 0, 7, 5, 3)
+    assert count_errors(2, 2, 2, 4, af, 2.0, 0, 7, 3, 3).tolist() == [0]
 
 
 _KEYS = ("snr_index", "seed", "trial_start", "trial_stop")

@@ -7,23 +7,15 @@ import pytest
 
 from qfrelay.channel import NoiseModel, sample_links, sample_noise, trial_stream
 from qfrelay.codebook import build_codebook
-from qfrelay.engine import marginalized_scores, mismatched_metrics
-from qfrelay.link import (
-    PointConfig,
-    detect_marginalized,
-    detect_mismatched,
-    relay_process,
-    run_trial,
-)
+from qfrelay.engine import block_picks, marginalized_scores, mismatched_metrics
+from qfrelay.link import PointConfig, relay_process, run_trial
 from qfrelay.quantizers import (
     AF,
     HAPQ,
     UAPQ,
     UPQ,
     QuantizerSpec,
-    af_relay_symbols,
     relay_symbols,
-    upq_relay_symbols,
 )
 
 ALL_SPECS = (
@@ -51,7 +43,8 @@ def _point(spec, snr_db=10.0, detector="mismatched", marginal_samples=16):
 def test_relay_process_af_dispatch():
     rng = trial_stream(0, 0, 0)
     y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert np.array_equal(relay_process(y, QuantizerSpec(AF)), af_relay_symbols(y))
+    assert np.array_equal(relay_process(y, QuantizerSpec(AF)),
+                          relay_symbols(y, QuantizerSpec(AF)))
 
 
 def test_relay_process_codec_roundtrip_is_transparent():
@@ -68,7 +61,8 @@ def test_relay_process_hapq_full_group_equals_upq():
     spec = QuantizerSpec(HAPQ, phase_bits=4, group_size=4)
     for _ in range(50):
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert np.array_equal(relay_process(y, spec), upq_relay_symbols(y, 4))
+        assert np.array_equal(relay_process(y, spec),
+                              relay_symbols(y, QuantizerSpec(UPQ, total_bits=4)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +83,11 @@ def test_mismatched_noiseless_exhaustive():
             y_sd = links.h_sd @ x + sample_noise(4, sigma2, rng)
             x_relay = relay_process(y_sr, spec)
             y_rd = links.h_rd @ x_relay + sample_noise(4, sigma2, rng)
-            detected = detect_mismatched(y_sd, y_rd, links, codebook, spec, sigma2)
-            assert detected == sent, (spec.label(), sent)
             metrics = mismatched_metrics(
                 y_sd, y_rd, links.h_sd, links.h_sr, links.h_rd,
                 codebook.codewords, spec,
             )
+            assert int(np.argmin(metrics)) == sent, (spec.label(), sent)
             # the true message's metric is numerically zero, the rest are
             # bounded away for a generic channel draw
             assert metrics[sent] < 1e-9
@@ -110,11 +103,15 @@ def test_mismatched_tie_break_is_smallest_index():
     # whatever the metric, argmin must return the first minimizer
     y = np.zeros(1, dtype=complex)
     spec = QuantizerSpec(AF)
-    detected = detect_mismatched(y, y, links, codebook, spec, 1.0)
     metrics = mismatched_metrics(
         y, y, links.h_sd, links.h_sr, links.h_rd, codebook.codewords, spec
     )
-    assert detected == int(np.flatnonzero(metrics == metrics.min())[0])
+    first = int(np.flatnonzero(metrics == metrics.min())[0])
+    assert int(np.argmin(metrics)) == first
+    # the engine's block search, which run_trial's argmin checks, agrees
+    picks = block_picks(y[None], [y[None]], links.h_sd[None], links.h_sr[None],
+                        links.h_rd[None], codebook.codewords, [spec], 1.0, None)
+    assert picks[0, 0] == first
 
 
 def test_marginalized_with_zero_samples_equals_mismatched():
@@ -135,7 +132,9 @@ def test_marginalized_with_zero_samples_equals_mismatched():
                 codebook.codewords, spec, sigma2,
                 np.zeros((1, 4), dtype=complex),
             )
-            mismatched = detect_mismatched(y_sd, y_rd, links, codebook, spec, sigma2)
+            mismatched = int(np.argmin(mismatched_metrics(
+                y_sd, y_rd, links.h_sd, links.h_sr, links.h_rd, codebook.codewords, spec,
+            )))
             assert int(np.argmax(scores)) == mismatched
 
 
@@ -150,9 +149,11 @@ def test_marginalized_noiseless_exhaustive():
             y_sr = links.h_sr @ x + sample_noise(4, sigma2, rng)
             y_sd = links.h_sd @ x + sample_noise(4, sigma2, rng)
             y_rd = links.h_rd @ relay_process(y_sr, spec) + sample_noise(4, sigma2, rng)
-            detected = detect_marginalized(
-                y_sd, y_rd, links, codebook, spec, sigma2, 8, rng
+            scores = marginalized_scores(
+                y_sd, y_rd, links.h_sd, links.h_sr, links.h_rd,
+                codebook.codewords, spec, sigma2, sample_noise((8, 4), sigma2, rng),
             )
+            detected = int(np.argmax(scores))
             assert detected == sent, (spec.label(), sent)
 
 
@@ -208,6 +209,8 @@ def test_point_config_validation():
         with pytest.raises(ValueError, match=f"marginal_samples must be a positive int, "
                                              f"got {samples!r}"):
             _point(QuantizerSpec(AF), detector="marginalized", marginal_samples=samples)
+    with pytest.raises(ValueError, match="specs must hold QuantizerSpec entries, got 'x'"):
+        _point("x")
     with pytest.raises(ValueError, match="M must be one of"):
         PointConfig(spec=QuantizerSpec(AF), n_source=4, n_relay=4, n_dest=4, alphabet=3,
                     snr_db=0.0)
@@ -240,14 +243,3 @@ def test_stream_keys_are_checked_at_entry(value):
         with pytest.raises(ValueError, match=f"{name} must be a non-negative int, got {value!r}"):
             call()
     assert run_trial(point, np.int64(3), np.uint16(7)) == run_trial(point, 3, 7)
-
-
-@pytest.mark.parametrize("n_samples", [2.5, True, "3"])
-def test_detect_marginalized_rejects_bad_sample_counts(n_samples):
-    # each used to raise a TypeError from inside the draw or the comparison
-    rng = trial_stream(6, 0, 0)
-    links = sample_links(4, 4, 4, rng)
-    y = np.ones(4, dtype=complex)
-    with pytest.raises(ValueError, match=f"n_samples must be a positive int, got {n_samples!r}"):
-        detect_marginalized(y, y, links, build_codebook(4, 4), QuantizerSpec(AF), 0.1,
-                            n_samples, rng)

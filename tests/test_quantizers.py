@@ -15,23 +15,20 @@ from qfrelay.quantizers import (
     UAPQ,
     UPQ,
     QuantizerSpec,
-    af_relay_symbols,
     amplitude_bin,
     build_level_set,
     check_oaq_assignment,
-    hapq_relay_symbols,
     oaq_codeword_count,
     oaq_level_multiset,
     oaq_sort_ranks,
     ordered_amplitude_quantize,
+    phase_index,
     quantizer_bits,
     relay_state,
     relay_symbols,
     relay_symbols_from_state,
-    uapq_relay_symbols,
     uniform_amplitude_quantize,
     uniform_phase_quantize,
-    upq_relay_symbols,
     wrap_phase,
 )
 
@@ -80,10 +77,12 @@ def test_wrap_phase_identities():
     assert wrap_phase(0.0) == 0.0
     assert wrap_phase(-np.pi / 2) == pytest.approx(3 * np.pi / 2, abs=1e-15)
     assert wrap_phase(5 * np.pi / 2) == pytest.approx(np.pi / 2, abs=1e-15)
-    with pytest.raises(ValueError):
-        wrap_phase(np.inf)
-    with pytest.raises(ValueError):
-        wrap_phase(np.nan)
+    for bad in (np.inf, -np.inf, np.nan):
+        for theta in (bad, np.array([0.5, bad])):
+            with pytest.raises(ValueError, match="^phase must be finite$"):
+                wrap_phase(theta)
+            with pytest.raises(ValueError, match="^phase must be finite$"):
+                phase_index(theta, 3)
 
 
 @given(st.floats(-1e6, 1e6))
@@ -92,6 +91,21 @@ def test_wrap_phase_domain(theta):
     assert 0.0 <= wrapped < TWO_PI
     turns = (theta - wrapped) / TWO_PI
     assert abs(turns - round(turns)) < 1e-6
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-20, 0.0),
+                 st.sampled_from([-1e-20, -0.0, TWO_PI, -TWO_PI])),
+       st.integers(1, 16))
+def test_a_scalar_phase_is_entry_zero_of_its_array(theta, bits):
+    # a scalar and an array take one path; the scalar comes back as a float
+    # or an int with the bits of the one-element array's entry
+    wrapped = wrap_phase(theta)
+    assert type(wrapped) is float
+    assert np.float64(wrapped).tobytes() == wrap_phase(np.array([theta]))[0].tobytes()
+    index = phase_index(theta, bits)
+    assert type(index) is int
+    assert index == phase_index(np.array([theta]), bits)[0]
 
 
 def _sector_membership_oracle(theta, bits):
@@ -151,7 +165,7 @@ def test_phase_quantize_sector_zero_boundary_exact():
 # ---------------------------------------------------------------------------
 
 def test_upq_example():
-    out = upq_relay_symbols(np.array([1 + 0j, 1j]), 2)
+    out = relay_symbols(np.array([1 + 0j, 1j]), spec_upq(2))
     expected = np.array([1.0, 1j]) / math.sqrt(2)
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
@@ -159,7 +173,7 @@ def test_upq_example():
 def test_upq_unit_power_random():
     rng = np.random.default_rng(1)
     y = rng.standard_normal((500, 4)) + 1j * rng.standard_normal((500, 4))
-    out = upq_relay_symbols(y, 3)
+    out = relay_symbols(y, spec_upq(3))
     np.testing.assert_array_less(
         np.abs(np.sum(np.abs(out) ** 2, axis=-1) - 1.0), 1e-12
     )
@@ -170,13 +184,13 @@ def test_upq_fixed_points():
     bits = 3
     centers = TWO_PI * np.arange(1 << bits) / (1 << bits)
     y = 2.5 * np.exp(1j * centers)
-    out = upq_relay_symbols(y, bits)
+    out = relay_symbols(y, spec_upq(bits))
     np.testing.assert_allclose(np.angle(out), np.angle(y), atol=1e-12)
 
 
 def test_upq_rejects_empty():
     with pytest.raises(ValueError):
-        upq_relay_symbols(np.array([], dtype=complex), 2)
+        relay_symbols(np.array([], dtype=complex), spec_upq(2))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +236,7 @@ def test_uniform_amplitude_rejects_out_of_domain():
 def test_uapq_hand_example():
     # amplitudes (2, 1)/sqrt(5) fall in 4-bit bins 14 and 7
     y = np.array([2 + 0j, 1j])
-    out = uapq_relay_symbols(y, 8, 4)
+    out = relay_symbols(y, spec_uapq(8, 4))
     centers = np.array([14.5 / 16, 7.5 / 16])
     gains = centers / math.hypot(*centers)
     expected = gains * np.array([1.0, 1j])
@@ -233,14 +247,14 @@ def test_uapq_equal_amplitudes():
     # bit-identical amplitudes land in one bin, so renormalization forces
     # every gain to 1/sqrt(N_R)
     y = 3.7 * np.array([1.0, 1j, -1.0, -1j])
-    out = uapq_relay_symbols(y, 6, 3)
+    out = relay_symbols(y, spec_uapq(6, 3))
     np.testing.assert_allclose(np.abs(out), 0.5, atol=1e-12)
 
 
 def test_uapq_unit_power_random():
     rng = np.random.default_rng(2)
     y = rng.standard_normal((500, 8)) + 1j * rng.standard_normal((500, 8))
-    out = uapq_relay_symbols(y, 8, 4)
+    out = relay_symbols(y, spec_uapq(8, 4))
     np.testing.assert_array_less(
         np.abs(np.sum(np.abs(out) ** 2, axis=-1) - 1.0), 1e-12
     )
@@ -248,9 +262,9 @@ def test_uapq_unit_power_random():
 
 def test_uapq_rejects_zero_vector():
     with pytest.raises(ValueError):
-        uapq_relay_symbols(np.zeros(4, dtype=complex), 8, 4)
+        relay_symbols(np.zeros(4, dtype=complex), spec_uapq(8, 4))
     with pytest.raises(ValueError):
-        uapq_relay_symbols(np.ones(4, dtype=complex), 4, 4)
+        relay_symbols(np.ones(4, dtype=complex), spec_uapq(4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +487,6 @@ def test_nan_amplitudes_never_reach_the_rank_kernel(n):
     with pytest.raises(ValueError):
         ordered_amplitude_quantize(amps, build_level_set(n, 2, 2))
     with pytest.raises(ValueError):
-        hapq_relay_symbols(y, 4, 2)
-    with pytest.raises(ValueError):
         relay_state(y, spec)
     with pytest.raises(ValueError):
         relay_symbols(y, spec)
@@ -489,10 +501,13 @@ _ENTRIES = {
     "relay_state-UPQ": (lambda y: relay_state(y, spec_upq()), False),
     "relay_state-UAPQ": (lambda y: relay_state(y, spec_uapq()), False),
     "relay_state-HAPQ": (lambda y: relay_state(y, spec_hapq()), False),
-    "upq_relay_symbols": (lambda y: upq_relay_symbols(y, 8), True),
-    "uapq_relay_symbols": (lambda y: uapq_relay_symbols(y, 8, 4), True),
-    "hapq_relay_symbols": (lambda y: hapq_relay_symbols(y, 4, 2), False),
-    "af_relay_symbols": (af_relay_symbols, True),
+    # each kind again at its widest bit budget (AF has none), H-APQ above
+    # the gain-phasor table bound and rebuilt from its state
+    "upq_relay_symbols": (lambda y: relay_symbols(y, spec_upq(16)), True),
+    "uapq_relay_symbols": (lambda y: relay_symbols(y, spec_uapq(16, 15)), True),
+    "hapq_relay_symbols": (
+        lambda y: relay_symbols_from_state(relay_state(y, spec_hapq(qbar=16, m=1))), False),
+    "af_relay_symbols": (lambda y: relay_symbols(y, QuantizerSpec(AF)), True),
 }
 _NON_FINITE = {
     "nan": np.nan,
@@ -523,12 +538,14 @@ def test_wrapper_bit_budgets_take_the_spec_bounds():
     y = np.array([1 + 1j, 2 - 1j])
     for bits in (17, 64):
         with pytest.raises(ValueError, match=f"^q must be at most 16, got {bits}$"):
-            upq_relay_symbols(y, bits)
+            relay_symbols(y, spec_upq(bits))
+        with pytest.raises(ValueError, match=f"^qbar must be at most 16, got {bits}$"):
+            relay_symbols(y, spec_hapq(qbar=bits, m=1))
     for total_bits, phase_bits in ((40, 20), (17, 4)):
         with pytest.raises(ValueError, match="must be at most 16"):
-            uapq_relay_symbols(y, total_bits, phase_bits)
-    assert upq_relay_symbols(y, 16).shape == (2,)
-    assert uapq_relay_symbols(y, 16, 15).shape == (2,)
+            relay_symbols(y, spec_uapq(total_bits, phase_bits))
+    assert relay_symbols(y, spec_upq(16)).shape == (2,)
+    assert relay_symbols(y, spec_uapq(16, 15)).shape == (2,)
 
 
 def test_uapq_rejects_a_zero_amplitude():
@@ -540,7 +557,7 @@ def test_uapq_rejects_a_zero_amplitude():
     with pytest.raises(ValueError, match=message):
         relay_state(y, spec_uapq())
     with pytest.raises(ValueError, match=message):
-        uapq_relay_symbols(np.stack([np.ones(2), y]), 8, 4)
+        relay_symbols(np.stack([np.ones(2), y]), spec_uapq(8, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +566,8 @@ def test_uapq_rejects_a_zero_amplitude():
 
 def test_hapq_hand_trace():
     y = np.array([2 + 0j, 0 + 1j, -1 + 0j, 0 - 3j])
-    symbols, state = hapq_relay_symbols(y, 2, 2, 2)
+    state = relay_state(y, spec_hapq(qbar=2, m=2, n=2))
+    symbols = relay_symbols_from_state(state)
     assert state.phase_indices == (0, 1, 2, 3)
     assert state.amplitude_assignment == (2, 1, 1, 2)
     delta = 1 / math.sqrt(10)
@@ -564,7 +582,7 @@ def test_hapq_group_of_all_equals_upq():
             (200, n_antennas)
         )
         via_hapq = relay_symbols(y, spec_hapq(qbar=4, m=n_antennas))
-        via_upq = upq_relay_symbols(y, 4)
+        via_upq = relay_symbols(y, spec_upq(4))
         assert np.array_equal(via_hapq, via_upq)  # bitwise
 
 
@@ -583,15 +601,15 @@ def test_hapq_unit_power():
 # ---------------------------------------------------------------------------
 
 def test_af_examples():
-    np.testing.assert_allclose(af_relay_symbols([3 + 4j]), [0.6 + 0.8j])
+    np.testing.assert_allclose(relay_symbols([3 + 4j], QuantizerSpec(AF)), [0.6 + 0.8j])
     unit = np.array([0.6, 0.8j])
-    np.testing.assert_allclose(af_relay_symbols(unit), unit, atol=1e-15)
+    np.testing.assert_allclose(relay_symbols(unit, QuantizerSpec(AF)), unit, atol=1e-15)
     rng = np.random.default_rng(9)
     y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    out = af_relay_symbols(y)
+    out = relay_symbols(y, QuantizerSpec(AF))
     np.testing.assert_allclose(np.angle(out), np.angle(y), atol=1e-12)
     with pytest.raises(ValueError):
-        af_relay_symbols(np.zeros(3, dtype=complex))
+        relay_symbols(np.zeros(3, dtype=complex), QuantizerSpec(AF))
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +687,7 @@ def test_hapq_relay_symbols_of_a_wide_budget_stay_small():
         tracemalloc.stop()
     assert peak < 4 << 20
     assert _hapq_tables.cache_info().currsize == 0
-    _, state = hapq_relay_symbols(y, 16, 1)
+    state = relay_state(y, spec)
     assert np.array_equal(out, relay_symbols_from_state(state))
 
 
@@ -711,10 +729,10 @@ def test_hapq_decode_builds_no_gain_phasor_table():
     y = np.array([1 + 2j, -0.5j, 3.0, -1 - 1j])
     _hapq_tables.cache_clear()
     decoded = _decode(y, spec)
-    wrapped, _ = hapq_relay_symbols(y, 16, 1)
+    rebuilt = relay_symbols_from_state(relay_state(y, spec))
     assert _hapq_tables.cache_info().currsize == 0
     assert np.array_equal(decoded, relay_symbols(y, spec))
-    assert np.array_equal(wrapped, decoded)
+    assert np.array_equal(rebuilt, decoded)
 
 
 def test_hapq_decode_keeps_the_table_cache_bounded(monkeypatch):
