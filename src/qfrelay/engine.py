@@ -26,8 +26,20 @@ which :func:`marginalized_scores` computes.  The single-trial reference
 takes that argmin or argmax directly, so it checks the search rather than
 sharing it.
 
+The search's stop bound rests on two facts about the RD distance dRD =
+||y_rd - H_rd x||^2 of a relay vector x: it is never negative, and, since
+every relay method sends unit power, it is never below the least distance
+over all unit-power x.  :func:`_rd_floor` bounds that least distance from
+below per (spec, trial) by Lagrangian weak duality on the trust-region
+problem min ||y - H x||^2 s.t. ||x|| = 1 (Boyd and Vandenberghe, Convex
+Optimization, 5.2; More and Sorensen, "Computing a trust region step",
+1983): g(mu) = ||y||^2 - b^H (H^H H + mu I)^-1 b - mu, b = H^H y, for any
+mu > -lambda_min(H^H H).  The floor is g at a few Newton steps for mu,
+lowered by a rounding margin and by |mu| times the 1e-10 by which ||x||^2
+may miss 1, and clamped at 0; :func:`block_picks` derives the rest.
+
 :func:`check_point` is the one check of a link point (dims, M, a
-non-empty list of ``QuantizerSpec`` entries, detector and L), which
+non-empty list or tuple of ``QuantizerSpec`` entries, detector and L), which
 ``SweepConfig``, ``PointConfig`` and :func:`count_errors` all call.  The
 keys of the trial streams (seed, SNR index, trial indices) are checked
 once per call with ``quantizers.check_key``.  One byte rule,
@@ -133,10 +145,84 @@ def _score_marginalized(terms, spec, h_rd, y_rd, sigma2):
     """
     sd_part, basis = terms
     relay_cands = basis.held = candidate_relay_symbols(spec, basis)
-    rd_cands = h_rd[:, None] @ relay_cands.transpose(0, 1, 3, 2)  # (B, L, N_D, C)
-    rd_scores = _sq_dists(y_rd[:, None, :], rd_cands) / -sigma2  # (B, L, C)
+    batch, samples, width, n_relay = relay_cands.shape
+    # one (N_D, N_R) @ (N_R, L*C) product per trial, not L small ones; each
+    # entry is the same N_R-term sum, so the bits do not change
+    stacked = relay_cands.reshape(batch, samples * width, n_relay).transpose(0, 2, 1)
+    rd_scores = (_sq_dists(y_rd, h_rd @ stacked) / -sigma2).reshape(batch, samples, width)
     peak = rd_scores.max(axis=1, keepdims=True)
     return sd_part + (peak[:, 0, :] + np.log(np.exp(rd_scores - peak).sum(axis=1)))
+
+
+# | ||x||^2 - 1 | of any relay vector stays below this: the level sets meet
+# the power identity within 1e-12, and normalizing adds a few roundings
+_POWER_TOL = 1e-10
+# Newton steps of the floor's multiplier.  Every multiplier in the domain
+# gives a valid floor, so the count trades tightness only: at the benchmark
+# shapes four steps stop the search exactly where six do
+_FLOOR_STEPS = 4
+_TINY = float(np.finfo(float).tiny)
+
+
+def _rd_floor(h_rd, y_rd):
+    """(..., B) lower bounds on ||y - H x||^2 over every unit-power x.
+
+    ``h_rd`` is (B, N_D, N_R) and ``y_rd`` (..., B, N_D).  For any mu >
+    -lambda_min(H^H H), weak duality bounds the distance by the Lagrangian
+    dual g(mu) = ||y||^2 - b^H (H^H H + mu I)^-1 b - mu, b = H^H y.  In the
+    eigenbasis of the smaller Gram matrix, min(N_D, N_R) square, with
+    eigenvalues l_i and weights d_i = |v_i^H b|^2 (or l_i |u_i^H y|^2 with
+    H H^H, where mu > 0), g(mu) = ||y||^2 - sum_i d_i / (l_i + mu) - mu.
+    It is concave, and its maximizer solves sum_i d_i / (l_i + mu)^2 = 1;
+    mu starts at the left end of the domain, 2**-30 ||H||_F^2 inside it,
+    which is wider than any eigenvalue's rounding, and takes Newton steps
+    on the nearly linear 1 / sqrt(sum_i d_i / (l_i + mu)^2) = 1.  The bound
+    is then lowered by 2**-36 (||y||^2 + (||H||_F^2 + |mu|)(1 + ||x(mu)||^2)),
+    far above the rounding of the eigendecomposition and the sums, and by
+    |mu| times ``_POWER_TOL`` for the relay's ||x||^2 - 1.  Any bound that
+    is not positive and finite reads 0.
+    """
+    n_dest, n_relay = h_rd.shape[-2:]
+    h_norm = np.einsum("bdr,bdr->b", h_rd.real, h_rd.real) + np.einsum(
+        "bdr,bdr->b", h_rd.imag, h_rd.imag)
+    y_norm = np.einsum("...d,...d->...", y_rd.real, y_rd.real) + np.einsum(
+        "...d,...d->...", y_rd.imag, y_rd.imag)
+    h_adj = h_rd.conj().transpose(0, 2, 1)
+    # overflow or 0/0 at extreme inputs gives a non-finite bound, read as 0
+    with np.errstate(all="ignore"):
+        if n_relay <= n_dest:
+            eig, vec = np.linalg.eigh(h_adj @ h_rd)
+            proj = np.einsum("brk,bdr,...bd->...bk", vec, h_rd, y_rd.conj())
+            weights = proj.real**2 + proj.imag**2
+            low = -eig[:, 0]
+        else:
+            eig, vec = np.linalg.eigh(h_rd @ h_adj)
+            eig = np.maximum(eig, 0.0)
+            proj = np.einsum("bdk,...bd->...bk", vec, y_rd.conj())
+            weights = eig * (proj.real**2 + proj.imag**2)
+            low = 0.0
+        left = low + (2.0**-30 * h_norm + _TINY)
+        mu = np.broadcast_to(left, y_norm.shape)
+        for _ in range(_FLOOR_STEPS):
+            shift = eig + mu[..., None]
+            terms = weights / (shift * shift)
+            phi = terms.sum(axis=-1)
+            step = phi * (np.sqrt(phi) - 1.0) / (terms / shift).sum(axis=-1)
+            mu = np.maximum(left, mu + step)
+        shift = eig + mu[..., None]
+        terms = weights / shift
+        dual = y_norm - terms.sum(axis=-1) - mu
+        x_norm = (terms / shift).sum(axis=-1)
+        dual -= (2.0**-36 * (y_norm + (h_norm + np.abs(mu)) * (1.0 + x_norm))
+                 + np.abs(mu) * _POWER_TOL)
+        return np.where((dual > 0.0) & (dual < np.inf), dual, 0.0)
+
+
+def _in_reach(s_next, best, gap, delta, floor):
+    """Whether a candidate of SD part ``s_next`` can still reach ``best``."""
+    reach = s_next + gap - floor + delta
+    reach += 2.0**-50 * (np.abs(s_next) + np.abs(best) + gap + delta + floor)
+    return reach >= best
 
 
 def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
@@ -156,33 +242,45 @@ def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
     best only with a strictly higher score, or an equal one at a smaller
     index.
 
-    The bound.  dRD = |c|^2 - 2 Re(y^H c) + |y|^2 is exactly ||y - c||^2
-    >= 0; the relay vector x has unit power, so |c| <= ||H_rd||_F and the
-    rounding of that expansion over N_D terms stays below
+    The bound.  dRD = |c|^2 - 2 Re(y^H c) + |y|^2 is exactly ||y - c||^2,
+    c = H_rd x; the relay vector x has unit power, so |c| <= ||H_rd||_F and
+    the rounding of that expansion over N_D terms stays below
 
         delta = (N_D + 4) 2**-50 (||H_rd||_F + ||y_rd||)**2 / weight.
 
-    Mismatched: a score is -dSD - dRD <= s(c) + delta.  Marginalized: a
-    score is s(c) + peak + log(sum_l exp(r_l - peak)), where r_l =
-    -dRD_l/sigma2 and peak = max_l r_l.  Each summand is at most 1 and the
-    peak's is exactly 1, so the rounded sum is at most L and the log term
-    about log L, while r_l, hence peak, is at most delta.  Every score is
-    thus at most s(c) + gap + delta, with gap = 0 (mismatched) or log L
-    (marginalized), up to the rounding of the final additions, which
-    slack = 2**-50 (|s(next)| + |best| + gap + delta) covers.  Once s(next)
-    + gap + delta + slack < best, where s(next) is the trial's highest SD
-    part not yet scored, no unscored candidate reaches the running best and
-    the (spec, trial) pair stops.  At high SNR the marginalized delta grows
-    and the search scores more blocks; it never changes a pick.
+    Every dRD of a (spec, trial) pair, over all its candidates and samples,
+    is also at least the pair's floor F, a lower bound on min ||y_rd -
+    H_rd x||^2 over unit-power x (:func:`_rd_floor`, by weak duality), so
+    -dRD/weight <= -F/weight + delta.  Mismatched: a score is -dSD - dRD <=
+    s(c) - F/weight + delta.  Marginalized: a score is s(c) + peak +
+    log(sum_l exp(r_l - peak)), where r_l = -dRD_l/sigma2 and peak = max_l
+    r_l.  Each summand is at most 1 and the peak's is exactly 1, so the
+    rounded sum is at most L and the log term about log L, while r_l, hence
+    peak, is at most -F/weight + delta.  Every score is thus at most s(c) +
+    gap - F/weight + delta, with gap = 0 (mismatched) or log L
+    (marginalized), up to the rounding of the final additions, which slack
+    = 2**-50 (|s(next)| + |best| + gap + delta + F/weight) covers.  Once
+    s(next) + gap - F/weight + delta + slack < best, where s(next) is the
+    trial's highest SD part not yet scored, no unscored candidate reaches
+    the running best and the (spec, trial) pair stops.  The floor is
+    computed once, after the first block, for the trials that the bound
+    with F = 0 keeps, and only where its eigendecomposition, about min(N_D,
+    N_R)**3 operations a trial, costs no more than scoring one block of one
+    spec, about width * L * N_R * N_D; elsewhere F = 0.  At 4 dB and L =
+    64, F/sigma2 averages about 1 of the log L = 4.16 nats of the
+    marginalized gap.  At high SNR the marginalized delta grows and the
+    search scores more blocks; neither changes a pick.
     """
     if noise is None:
-        score, width, gap, weight = _score_mismatched, MISMATCHED_BLOCK, 0.0, 1.0
+        score, width, samples, weight = _score_mismatched, MISMATCHED_BLOCK, 1, 1.0
     else:
-        score, width, gap, weight = (_score_marginalized, MARGINAL_BLOCK,
-                                     math.log(noise.shape[1]), sigma2)
+        score, width, samples, weight = (_score_marginalized, MARGINAL_BLOCK,
+                                         noise.shape[1], sigma2)
+    gap = math.log(samples)  # 0.0 for the mismatched detector's one "sample"
     sd_part, relay_in = _candidate_terms(y_sd, h_sd, h_sr, codewords, weight)
+    y_rd_all = np.stack(y_rds)  # (len(specs), B, N_D)
     # (len(specs), B): ||H_rd||_F + ||y_rd|| per spec and trial
-    norms = np.linalg.norm(h_rd, axis=(1, 2)) + np.linalg.norm(np.stack(y_rds), axis=-1)
+    norms = np.linalg.norm(h_rd, axis=(1, 2)) + np.linalg.norm(y_rd_all, axis=-1)
     delta = (h_rd.shape[1] + 4) * 2.0**-50 * norms**2 / weight
     batch, n_cand = sd_part.shape
     width = min(n_cand, width)
@@ -193,6 +291,9 @@ def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
     best = np.full((len(specs), batch), -np.inf)
     picks = np.full((len(specs), batch), n_cand)
     pending = np.ones((len(specs), batch), dtype=bool)
+    floor = np.zeros((len(specs), batch))
+    n_dest, n_relay = h_rd.shape[1:]
+    floor_pays = min(n_relay, n_dest) ** 3 <= width * samples * n_relay * n_dest
     for start in range(0, n_cand, width):
         active = np.flatnonzero(pending.any(axis=0))
         if not active.size:
@@ -217,10 +318,15 @@ def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
             picks[row, active[better]] = index[better]
         if start + width < n_cand:
             s_next = sd_part[active, order[active, start + width]]
-            reach = s_next + gap + delta[:, active]
-            reach += 2.0**-50 * (np.abs(s_next) + np.abs(best[:, active]) + gap
-                                 + delta[:, active])
-            pending[:, active] &= reach >= best[:, active]
+            pending[:, active] &= _in_reach(s_next, best[:, active], gap, delta[:, active],
+                                            floor[:, active])
+            if start == 0 and floor_pays:
+                # the trials the floor-free bound keeps get their floor once
+                kept = active[pending[:, active].any(axis=0)]
+                floor[:, kept] = _rd_floor(h_rd[kept], y_rd_all[:, kept]) / weight
+                pending[:, kept] &= _in_reach(sd_part[kept, order[kept, width]],
+                                              best[:, kept], gap, delta[:, kept],
+                                              floor[:, kept])
     return picks
 
 
@@ -341,6 +447,10 @@ def check_point(n_source, n_relay, n_dest, alphabet, specs, detector, marginal_s
         raise ValueError(f"M must be one of {SUPPORTED_ALPHABETS}, got {alphabet!r}")
     if detector not in DETECTORS:
         raise ValueError(f"detector must be one of {DETECTORS}, got {detector!r}")
+    # count_errors takes len(specs) and reads it once per batch, which a bare
+    # spec, an iterator or a generator cannot serve
+    if not isinstance(specs, (list, tuple)):
+        raise ValueError(f"specs must be a list or tuple of relay methods, got {specs!r}")
     if not specs:
         raise ValueError(f"specs must hold at least one relay method, got {specs!r}")
     for spec in specs:

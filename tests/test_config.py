@@ -198,6 +198,11 @@ def test_sweep_config_direct_validation():
         with pytest.raises(ConfigValidationError,
                            match=f"specs must hold QuantizerSpec entries, got {entry!r}"):
             SweepConfig(4, 4, 4, 4, (entry,), (0.0,), 10, 1)
+    # a bare spec, an iterator and a generator used to raise TypeError
+    for specs in (spec, iter([spec]), (entry for entry in [spec])):
+        with pytest.raises(ConfigValidationError,
+                           match="specs must be a list or tuple of relay methods"):
+            SweepConfig(4, 4, 4, 4, specs, (0.0,), 10, 1)
     with pytest.raises(ConfigValidationError, match="workers"):
         SweepConfig(4, 4, 4, 4, (spec,), (0.0,), 10, 1, workers=True)
     # the bounds themselves are accepted, as are q = 16 and qbar = 15

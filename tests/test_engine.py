@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_kernel_oracles import _same_bits, _uapq_reference
 
 from qfrelay import engine
@@ -17,7 +19,7 @@ from qfrelay.channel import (
     trial_stream,
 )
 from qfrelay.codebook import build_codebook
-from qfrelay.config import MAX_CANDIDATES
+from qfrelay.config import MAX_CANDIDATES, parse_spec_string
 from qfrelay.engine import CandidateBasis, candidate_relay_symbols, count_errors
 from qfrelay.link import PointConfig, run_trial
 from qfrelay.quantizers import (
@@ -273,6 +275,12 @@ def test_engine_needs_a_spec():
         # an AttributeError on validate_for used to come from check_point
         (("x",), "specs must hold QuantizerSpec entries, got 'x'"),
         ((None,), "specs must hold QuantizerSpec entries, got None"),
+        # a bare spec raised TypeError (not iterable) inside check_point, and
+        # an iterator or a generator passed it to fail on len() in count_errors
+        (QuantizerSpec(AF), "specs must be a list or tuple of relay methods, got QuantizerSpec"),
+        (iter([QuantizerSpec(AF)]), "specs must be a list or tuple of relay methods, got <list_"),
+        ((spec for spec in [QuantizerSpec(AF)]),
+         "specs must be a list or tuple of relay methods, got <generator"),
     ):
         with pytest.raises(ValueError, match=message):
             count_errors(2, 2, 2, 4, specs, 2.0, 0, 7, 0, 3)
@@ -406,12 +414,13 @@ def test_mismatched_search_picks_the_argmin_of_the_full_metrics(n_source):
 
 def _assert_search_finds_adversarial_winners(detector, scores, monkeypatch):
     """The search maximizes the score each detector's scorer returns.  A
-    score is at most its SD part plus a gap, log L or 0, and the search
-    relies on no more than that.  Synthetic scores below that bound make
-    the search find: the candidate of lowest SD part, exactly at its bound,
-    when scores fall as the SD part rises ("deep"); the first candidate of
-    the second block, at exactly its bound and one ulp above the best of
-    the first ("edge"); and the smallest index, wherever the SD order puts
+    score is at most its SD part plus a gap, log L or 0, less the trial's
+    RD floor over its weight, and the search relies on no more than that.
+    Synthetic scores below that bound make the search find: the candidate
+    of lowest SD part, exactly at its bound, when scores fall as the SD
+    part rises ("deep"); the first candidate of the second block, at
+    exactly its bound and one ulp above the best of the first ("edge"); and
+    the smallest index, wherever the SD order puts
     it, when all tie ("tied")."""
     # the mismatched delta grows with the squared SD parts the carrier
     # holds: at 10 dB it stays below 2e-11, so a bound short by 1e-9 fails
@@ -435,17 +444,21 @@ def _assert_search_finds_adversarial_winners(detector, scores, monkeypatch):
     def synthetic(terms, spec, h_rd, y_rd, sigma2):
         part = terms[0]
         top, bottom, edge = y_rd[:, :1].real, y_rd[:, :1].imag, y_rd[:, 1:2].real
+        # the part of the bound past the SD part: the gap less the floor
+        # that every RD distance of the trial's relay vectors lies above
+        reach = gap - engine._rd_floor(h_rd, y_rd)[:, None] / weight
         if scores == "deep":
-            score = 2.0 * bottom + gap - part
+            score = 2.0 * bottom + reach - part
         elif scores == "edge":
-            below = np.where(part == top, np.nextafter(edge + gap, -np.inf), bottom - 1.0)
-            score = np.where(part == edge, edge + gap, below)
+            below = np.where(part == top, np.nextafter(edge + reach, -np.inf),
+                             bottom - 1.0 + reach)
+            score = np.where(part == edge, edge + reach, below)
         else:
-            score = np.broadcast_to(bottom + gap, part.shape)
+            score = np.broadcast_to(bottom + reach, part.shape)
         return score
 
     monkeypatch.setattr(engine, scorer.__name__, synthetic)
-    want = synthetic((sd_part,), None, None, carrier, None).argmax(axis=-1)
+    want = synthetic((sd_part,), None, h_rd, carrier, None).argmax(axis=-1)
     got = engine.block_picks(y_sd, [carrier] * len(SPECS), h_sd, h_sr, h_rd,
                              codebook.codewords, SPECS, sigma2, noise)
     assert np.array_equal(got, np.broadcast_to(want, got.shape))
@@ -489,6 +502,102 @@ def test_gathered_block_scores_equal_the_full_row_bitwise():
                 assert block.tobytes() == want.tobytes(), (detector, spec.label())
 
 
+def _complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _per_sample_marginalized(sd_part, relay_cands, h_rd, y_rd, sigma2):
+    """The marginalized score with one (N_D, N_R) @ (N_R, C) RD product per
+    trial and sample, as the scorer once took it."""
+    rd_cands = h_rd[:, None] @ relay_cands.transpose(0, 1, 3, 2)  # (B, L, N_D, C)
+    rd_scores = engine._sq_dists(y_rd[:, None, :], rd_cands) / -sigma2  # (B, L, C)
+    peak = rd_scores.max(axis=1, keepdims=True)
+    return sd_part + (peak[:, 0, :] + np.log(np.exp(rd_scores - peak).sum(axis=1)))
+
+
+def test_one_rd_product_per_trial_scores_bitwise_as_per_sample_products():
+    # the scorer's one (N_D, N_R) @ (N_R, L*C) product per trial against the
+    # B*L small products over the shape sweep, with link and observation
+    # magnitudes from 1e-3 to 1e3
+    rng = np.random.default_rng(21)
+    af = QuantizerSpec(AF)
+    scales = (1e-3, 1.0, 1e3)
+    shapes = [(batch, samples, width, n_relay, n_dest)
+              for batch in (1, 3, 8) for samples in (1, 7, 64) for width in (16, 64)
+              for n_relay in (1, 2, 4, 5, 16) for n_dest in (1, 2, 4, 7)]
+    for index, (batch, samples, width, n_relay, n_dest) in enumerate(shapes):
+        h_scale, y_scale = scales[index % 3], scales[index // 3 % 3]
+        stack = _complex_normal(rng, batch, samples, width, n_relay)
+        h_rd = h_scale * _complex_normal(rng, batch, n_dest, n_relay)
+        y_rd = y_scale * _complex_normal(rng, batch, n_dest)
+        sd_part = -rng.random((batch, width))
+        got = engine._score_marginalized((sd_part, CandidateBasis(stack)), af, h_rd, y_rd, 0.5)
+        relay_cands = candidate_relay_symbols(af, CandidateBasis(stack))
+        want = _per_sample_marginalized(sd_part, relay_cands, h_rd, y_rd, 0.5)
+        assert got.tobytes() == want.tobytes(), (batch, samples, width, n_relay, n_dest)
+
+
+def _dual_point(h, y):
+    """The unit-power x = (H^H H + mu I)^-1 H^H y, mu found by bisection on
+    ||x|| = 1 in the eigenbasis of H^H H, and the eigenvectors of H^H H."""
+    eig, vec = np.linalg.eigh(h.conj().T @ h)
+    proj = vec.conj().T @ (h.conj().T @ y)
+    low = -eig[0] + 1e-12 * (1.0 + eig[-1])
+    high = low + np.linalg.norm(proj) + 1.0
+    for _ in range(200):
+        mid = 0.5 * (low + high)
+        if np.sum(np.abs(proj / (eig + mid)) ** 2) > 1.0:
+            low = mid
+        else:
+            high = mid
+    point = vec @ (proj / (eig + low))
+    size = np.linalg.norm(point)
+    return ([point / size] if size > 0.0 else []) + list(vec.T)
+
+
+_FLOOR_SCALES = st.sampled_from((1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 16), st.integers(1, 3), _FLOOR_SCALES, _FLOOR_SCALES,
+       st.sampled_from(("plain", "zero column", "zero y")), st.integers(0, 2**32 - 1))
+def test_rd_floor_never_exceeds_a_unit_power_distance(n_dest, n_relay, batch, h_scale,
+                                                      y_scale, case, seed):
+    # the floor bounds ||y - H x||^2 from below for every unit-power x: random
+    # ones, every relay method's symbols, the dual near-minimizer and the
+    # eigenvectors of H^H H, for N_D below, at and above N_R
+    rng = np.random.default_rng(seed)
+    h_rd = h_scale * _complex_normal(rng, batch, n_dest, n_relay)
+    # observations near the image of a unit-power x, as the relay sends
+    sent = _complex_normal(rng, 2, batch, n_relay)
+    sent /= np.linalg.norm(sent, axis=-1, keepdims=True)
+    y_rd = (np.einsum("bdr,sbr->sbd", h_rd, sent)
+            + y_scale * _complex_normal(rng, 2, batch, n_dest))
+    if case == "zero column":
+        h_rd[:, :, rng.integers(n_relay)] = 0.0
+    elif case == "zero y":
+        y_rd[:] = 0.0
+    floor = engine._rd_floor(h_rd, y_rd)
+    assert floor.shape == (2, batch) and np.all(np.isfinite(floor)) and np.all(floor >= 0.0)
+    random = _complex_normal(rng, 16, n_relay)
+    specs = [QuantizerSpec(UPQ, total_bits=3), QuantizerSpec(UAPQ, total_bits=6, phase_bits=3),
+             QuantizerSpec(HAPQ, phase_bits=3, group_size=1),
+             QuantizerSpec(HAPQ, phase_bits=3, group_size=n_relay)]
+    relayed = [relay_symbols(random, spec) for spec in specs]
+    for trial in range(batch):
+        for row in range(2):
+            h, y = h_rd[trial], y_rd[row, trial]
+            xs = np.vstack([random / np.linalg.norm(random, axis=-1, keepdims=True),
+                            *relayed, *_dual_point(h, y)])
+            # the distance summed from the residual, and as the scorers
+            # expand it, which the search's delta covers
+            direct = np.sum(np.abs(y - xs @ h.T) ** 2, axis=-1)
+            delta = (n_dest + 4) * 2.0**-50 * (np.linalg.norm(h) + np.linalg.norm(y)) ** 2
+            expanded = engine._sq_dists(y, h @ xs.T)
+            assert floor[row, trial] <= direct.min(), (case, row, trial)
+            assert floor[row, trial] - delta <= expanded.min(), (case, row, trial)
+
+
 def _scored_share(detector, samples, snr_db, monkeypatch):
     """Share of a 32-trial batch's candidates that one search over SPECS
     gathers, at C = 256."""
@@ -518,6 +627,54 @@ def test_mismatched_search_stops_early(monkeypatch):
     # and after the first 64-candidate block, for most trials, at the
     # mismatched benchmark's lowest grid point, 2 dB
     assert _scored_share("mismatched", 0, 2.0, monkeypatch) < 0.5
+
+
+_BENCH_SPECS = {
+    "marginalized": ("UAPQ:q=8,qbar=4", "HAPQ:qbar=4,m=2,n=2"),
+    "mismatched": ("AF", "UAPQ:q=8,qbar=4", "HAPQ:qbar=4,m=2,n=2", "HAPQ:qbar=4,m=4,n=2",
+                   "HAPQ:qbar=4,m=1,n=1", "HAPQ:qbar=4,m=1,n=2", "HAPQ:qbar=4,m=1,n=3",
+                   "HAPQ:qbar=4,m=1,n=4", "HAPQ:qbar=4,m=2,n=1", "HAPQ:qbar=4,m=2,n=3",
+                   "HAPQ:qbar=4,m=2,n=4"),
+}
+
+
+def _candidates_scored(detector, snr_db, batch_size, floored, monkeypatch):
+    """Candidates the scorer scores, and the error counts, over three
+    fixed-seed batches at a benchmark shape (4x4x4, M = 4, L = 64), with the
+    RD floor in the stop bound or without it."""
+    scorer, _ = _scorer(detector, 1.0)
+    scored = [0]
+
+    def counted(terms, spec, h_rd, y_rd, sigma2):
+        scores = scorer(terms, spec, h_rd, y_rd, sigma2)
+        scored[0] += scores.size
+        return scores
+
+    specs = [parse_spec_string(text) for text in _BENCH_SPECS[detector]]
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, scorer.__name__, counted)
+        if not floored:
+            patch.setattr(engine, "_rd_floor", lambda h_rd, y_rd: np.zeros(y_rd.shape[:-1]))
+        errors = [count_errors(4, 4, 4, 4, specs, snr_db, 0, seed, 0, batch_size,
+                               detector=detector, marginal_samples=64).tolist()
+                  for seed in range(3)]
+    return scored[0], errors
+
+
+@pytest.mark.parametrize("detector, snr_db, batch_size, with_floor, without_floor", [
+    ("marginalized", 4.0, 8, 1680, 2128),
+    ("mismatched", 2.0, 64, 181184, 215552),
+], ids=["marginalized", "mismatched"])
+def test_search_work_is_pinned(detector, snr_db, batch_size, with_floor, without_floor,
+                               monkeypatch):
+    # the exact number of candidates scored over three batches, with the RD
+    # floor in the stop bound and without it.  A change that loosens the
+    # bound, or drops the floor, fails here loudly, not in a timing
+    scored, errors = _candidates_scored(detector, snr_db, batch_size, True, monkeypatch)
+    unfloored, same = _candidates_scored(detector, snr_db, batch_size, False, monkeypatch)
+    assert same == errors
+    assert (scored, unfloored) == (with_floor, without_floor)
+    assert scored < unfloored
 
 
 def test_default_batch_fits_the_candidate_stack_budget():
