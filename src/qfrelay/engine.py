@@ -264,11 +264,8 @@ def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
     trial's highest SD part not yet scored, no unscored candidate reaches
     the running best and the (spec, trial) pair stops.  The floor is
     computed once, after the first block, for the trials that the bound
-    with F = 0 keeps, and only where its eigendecomposition, about min(N_D,
-    N_R)**3 operations a trial, costs no more than scoring one block of one
-    spec, about width * L * N_R * N_D; elsewhere F = 0.  At 4 dB and L =
-    64, F/sigma2 averages about 1 of the log L = 4.16 nats of the
-    marginalized gap.  At high SNR the marginalized delta grows and the
+    with F = 0 keeps.  At 4 dB and L = 64, F/sigma2 averages about 1 of the
+    log L = 4.16 nats of the marginalized gap.  At high SNR the marginalized delta grows and the
     search scores more blocks; neither changes a pick.
     """
     if noise is None:
@@ -292,8 +289,6 @@ def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
     picks = np.full((len(specs), batch), n_cand)
     pending = np.ones((len(specs), batch), dtype=bool)
     floor = np.zeros((len(specs), batch))
-    n_dest, n_relay = h_rd.shape[1:]
-    floor_pays = min(n_relay, n_dest) ** 3 <= width * samples * n_relay * n_dest
     for start in range(0, n_cand, width):
         active = np.flatnonzero(pending.any(axis=0))
         if not active.size:
@@ -320,7 +315,7 @@ def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
             s_next = sd_part[active, order[active, start + width]]
             pending[:, active] &= _in_reach(s_next, best[:, active], gap, delta[:, active],
                                             floor[:, active])
-            if start == 0 and floor_pays:
+            if start == 0:
                 # the trials the floor-free bound keeps get their floor once
                 kept = active[pending[:, active].any(axis=0)]
                 floor[:, kept] = _rd_floor(h_rd[kept], y_rd_all[:, kept]) / weight

@@ -667,13 +667,18 @@ def _candidates_scored(detector, snr_db, batch_size, floored, monkeypatch):
 ], ids=["marginalized", "mismatched"])
 def test_search_work_is_pinned(detector, snr_db, batch_size, with_floor, without_floor,
                                monkeypatch):
-    # the exact number of candidates scored over three batches, with the RD
-    # floor in the stop bound and without it.  A change that loosens the
-    # bound, or drops the floor, fails here loudly, not in a timing
+    # the number of candidates scored over three batches, with the RD floor
+    # in the stop bound and without it, as pinned on one numpy build.  The
+    # floor's last bits come from LAPACK, and a floor one ulp apart can flip
+    # a stop decision at the edge, costing one block of every spec of one
+    # trial; 2% leaves room for a few such flips.  The floor saves about a
+    # fifth of the work, so a change that loosens the bound, or drops the
+    # floor, still fails here loudly, not in a timing
     scored, errors = _candidates_scored(detector, snr_db, batch_size, True, monkeypatch)
     unfloored, same = _candidates_scored(detector, snr_db, batch_size, False, monkeypatch)
     assert same == errors
-    assert (scored, unfloored) == (with_floor, without_floor)
+    assert scored == pytest.approx(with_floor, rel=0.02)
+    assert unfloored == pytest.approx(without_floor, rel=0.02)
     assert scored < unfloored
 
 
