@@ -38,10 +38,11 @@ MAX_SNR_DB = 1000.0
 def snr_db_to_sigma2(snr_db):
     """Noise variance for a transmit SNR of snr_db decibels (SNR = 1/sigma2).
 
-    snr_db must be a real number, and |snr_db| at most ``MAX_SNR_DB``; a
-    string, None, a complex, NaN and anything wider raise ``ValueError``.
+    snr_db must be a real number, not a bool, and |snr_db| at most
+    ``MAX_SNR_DB``; a string, None, a complex, NaN and anything wider raise
+    ``ValueError``.
     """
-    if not isinstance(snr_db, numbers.Real):
+    if not isinstance(snr_db, numbers.Real) or isinstance(snr_db, bool):
         raise ValueError(f"snr_db must be a real number, got {snr_db!r}")
     # comparisons reject NaN and never convert a huge int to float
     if not -MAX_SNR_DB <= snr_db <= MAX_SNR_DB:

@@ -33,11 +33,8 @@ live in :mod:`qfrelay.engine` next to the rule they bound; this module
 re-exports them.  Both detectors search the candidate messages in blocks,
 but first build products of all of them, so the candidate count C = M**n_s
 may be at most ``MAX_CANDIDATES`` (2**16).  One trial's largest complex
-array family, ``engine.trial_bytes``, may take at most ``MAX_TRIAL_BYTES``
-(64 MiB): its draws, (n_r*n_s + n_d*n_s + n_d*n_r + n_r + 2*n_d + L*n_r)
-entries with L = marginal_samples when marginalizing and 0 otherwise, its
-C * max(n_r, n_d) candidate products, and for the marginalized detector
-one block stack of marginal_samples * min(C, 16) * n_r entries.
+array family, ``engine.trial_bytes``, which gives its formulas, may take
+at most ``MAX_TRIAL_BYTES`` (64 MiB).
 Every snr_db_grid point must lie within +-``channel.MAX_SNR_DB`` (1000 dB),
 and q and qbar may be at most ``quantizers.MAX_BITS`` (16).
 """

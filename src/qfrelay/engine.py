@@ -4,23 +4,26 @@ Evaluates batches of trials, and several relay methods per trial, on shared
 channel draws.  Randomness stays per-trial: every trial draws its own
 message, channels and noise from the stream keyed by (seed, snr_index,
 trial_index), so counts are independent of batch size, worker count and
-scheduling.  Each detector has one scoring function, which takes a batch:
-the single-trial reference path in :mod:`qfrelay.link` calls it with a
-batch of one and :func:`count_errors` with a batch of B, so the two paths
-share every score bit for bit.
+scheduling.  There is one scorer for both detectors (the mismatched one is
+L = 1, weight 1), :func:`_score`, which takes a batch: the single-trial
+reference path in :mod:`qfrelay.link` calls it with a batch of one and
+:func:`count_errors` with a batch of B, so the two paths share every score
+bit for bit.
 
 The detectors are genie-aided: the destination knows all three link
 matrices and the relay's quantization method.  The mismatched detector
 scores each candidate message with the noiseless-relay surrogate; the
 marginalized detector averages the relay-noise likelihood over shared
 Monte Carlo samples (common random numbers across candidates) and serves
-as the near-optimal oracle.  Both scorers return a score, higher being
-better, whose SD part is -dSD/weight (weight 1 or sigma2); the mismatched
-score is the exactly negated metric.  Both detectors pick their candidate
-by one block search (:func:`block_picks`) that maximizes that score over
-candidates in blocks, 64 (mismatched) or 16 (marginalized) at a time, in
-order of their SD part and stops once no unscored one can win; the pick
-is exactly the argmin of the full metrics, which
+as the near-optimal oracle.  The score, higher being better, is the SD
+part -dSD/weight plus a log-sum-exp of -dRD/weight over L relay vectors:
+weight sigma2 and the L noisy samples when marginalizing, weight 1 and
+the one noiseless relay input for the mismatched detector, whose score is
+then exactly the negated metric -(dSD + dRD).  Both detectors pick their
+candidate by one block search (:func:`block_picks`) that maximizes that
+score over candidates in blocks, 64 (mismatched) or 16 (marginalized) at
+a time, in order of their SD part and stops once no unscored one can win;
+the pick is exactly the argmin of the full metrics, which
 :func:`mismatched_metrics` computes, or the argmax of the full scores,
 which :func:`marginalized_scores` computes.  The single-trial reference
 takes that argmin or argmax directly, so it checks the search rather than
@@ -93,63 +96,45 @@ def _sq_dists(y, cands):
     return cand_norm - 2.0 * cross + y_norm[..., None]
 
 
-def _candidate_products(h_sd, h_sr, codewords):
-    """Direct-link candidates and relay-input candidates for all messages."""
-    transmit = codewords.T  # (N_S, C)
-    sd_cands = h_sd @ transmit
-    relay_in = np.ascontiguousarray((h_sr @ transmit).transpose(0, 2, 1))
-    return sd_cands, relay_in
-
-
-def _candidate_terms(y_sd, h_sd, h_sr, codewords, weight):
+def _candidate_products(y_sd, h_sd, h_sr, codewords, weight):
     """The SD part of every candidate's score and the relay inputs.
 
     Returns the (B, C) SD part -dSD/weight and the (B, C, N_R) relay-input
     candidates.  ``weight`` is sigma2 for the marginalized detector and 1.0
     for the mismatched one, where dividing by -1.0 is an exact negation.
     """
-    sd_cands, relay_in = _candidate_products(h_sd, h_sr, codewords)
-    return _sq_dists(y_sd, sd_cands) / -weight, relay_in
+    transmit = codewords.T  # (N_S, C)
+    relay_in = np.ascontiguousarray((h_sr @ transmit).transpose(0, 2, 1))
+    return _sq_dists(y_sd, h_sd @ transmit) / -weight, relay_in
 
 
-def _terms(sd_part, relay_in, noise):
-    """The SD part and the candidate basis of (B, C, N_R) relay inputs.
+def _basis(relay_in, noise):
+    """The (B, L, W, N_R) candidate basis of (B, W, N_R) relay inputs.
 
-    Without relay-noise samples (``noise`` is None) the basis holds the
-    noiseless relay inputs; with samples of shape (B, L, N_R) it holds the
-    noisy (B, L, C, N_R) stack.
+    Without relay-noise samples (``noise`` is None, the mismatched
+    detector) it is a view of the noiseless inputs as L = 1; with samples
+    of shape (B, L, N_R) it holds the noisy stack.
     """
-    stack = relay_in if noise is None else relay_in[:, None, :, :] + noise[:, :, None, :]
-    return sd_part, CandidateBasis(stack)
+    stack = relay_in[:, None] if noise is None else relay_in[:, None] + noise[:, :, None]
+    return CandidateBasis(stack)
 
 
-def _score_mismatched(terms, spec, h_rd, y_rd, sigma2):
-    """(B, C) scores of the mismatched detector; higher is better.
+def _score(sd_part, basis, spec, h_rd, y_rd, weight):
+    """(B, W) scores of either detector; higher is better.
 
-    The SD part -dSD less the squared RD distance against the
-    noiseless-relay surrogate of each message.  Round-to-nearest is
-    sign-symmetric, so this is exactly the negated metric -(dSD + dRD).
-    The common 1/sigma2 weight cancels, so ``sigma2`` is unused.
+    The SD part -dSD/weight plus a stable log-sum-exp of -dRD/weight over
+    the basis's L relay vectors per candidate.  At L = 1 the log-sum-exp is
+    its one term, which is returned as is; with the mismatched detector's
+    weight 1 the score is then exactly the negated metric -(dSD + dRD).
     """
-    sd_part, basis = terms
-    relay_cands = basis.held = candidate_relay_symbols(spec, basis)
-    rd_cands = h_rd @ relay_cands.transpose(0, 2, 1)  # (B, N_D, C)
-    return sd_part - _sq_dists(y_rd, rd_cands)
-
-
-def _score_marginalized(terms, spec, h_rd, y_rd, sigma2):
-    """(B, C) scores of the marginalized detector; higher is better.
-
-    The SD part -dSD/sigma2 plus a stable log-sum-exp of -dRD/sigma2 over
-    the shared relay-noise samples.
-    """
-    sd_part, basis = terms
     relay_cands = basis.held = candidate_relay_symbols(spec, basis)
     batch, samples, width, n_relay = relay_cands.shape
-    # one (N_D, N_R) @ (N_R, L*C) product per trial, not L small ones; each
+    # one (N_D, N_R) @ (N_R, L*W) product per trial, not L small ones; each
     # entry is the same N_R-term sum, so the bits do not change
     stacked = relay_cands.reshape(batch, samples * width, n_relay).transpose(0, 2, 1)
-    rd_scores = (_sq_dists(y_rd, h_rd @ stacked) / -sigma2).reshape(batch, samples, width)
+    rd_scores = (_sq_dists(y_rd, h_rd @ stacked) / -weight).reshape(batch, samples, width)
+    if samples == 1:
+        return sd_part + rd_scores[:, 0]
     peak = rd_scores.max(axis=1, keepdims=True)
     return sd_part + (peak[:, 0, :] + np.log(np.exp(rd_scores - peak).sum(axis=1)))
 
@@ -233,14 +218,13 @@ def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
     the :func:`mismatched_metrics` row; with the (B, L, N_R) relay-noise
     samples it is the marginalized one, and the pick is ``argmax`` of the
     :func:`marginalized_scores` row.  Equal optima go to the smallest
-    index.  The search maximizes the score both scorers return, the
-    mismatched one being the exactly negated metric.  Each trial's
-    candidates are taken in blocks of ``MARGINAL_BLOCK`` or
-    ``MISMATCHED_BLOCK`` in descending order of their SD part of the score,
-    s(c) = -dSD/weight with weight sigma2 (marginalized) or 1 (mismatched),
-    and most of them are never scored; a later block replaces the running
-    best only with a strictly higher score, or an equal one at a smaller
-    index.
+    index.  The search maximizes :func:`_score`, which for the mismatched
+    detector is the exactly negated metric.  Each trial's candidates are
+    taken in blocks of ``MARGINAL_BLOCK`` or ``MISMATCHED_BLOCK`` in
+    descending order of their SD part of the score, s(c) = -dSD/weight with
+    weight sigma2 (marginalized) or 1 (mismatched), and most of them are
+    never scored; a later block replaces the running best only with a
+    strictly higher score, or an equal one at a smaller index.
 
     The bound.  dRD = |c|^2 - 2 Re(y^H c) + |y|^2 is exactly ||y - c||^2,
     c = H_rd x; the relay vector x has unit power, so |c| <= ||H_rd||_F and
@@ -251,30 +235,26 @@ def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
     Every dRD of a (spec, trial) pair, over all its candidates and samples,
     is also at least the pair's floor F, a lower bound on min ||y_rd -
     H_rd x||^2 over unit-power x (:func:`_rd_floor`, by weak duality), so
-    -dRD/weight <= -F/weight + delta.  Mismatched: a score is -dSD - dRD <=
-    s(c) - F/weight + delta.  Marginalized: a score is s(c) + peak +
-    log(sum_l exp(r_l - peak)), where r_l = -dRD_l/sigma2 and peak = max_l
-    r_l.  Each summand is at most 1 and the peak's is exactly 1, so the
-    rounded sum is at most L and the log term about log L, while r_l, hence
-    peak, is at most -F/weight + delta.  Every score is thus at most s(c) +
-    gap - F/weight + delta, with gap = 0 (mismatched) or log L
-    (marginalized), up to the rounding of the final additions, which slack
-    = 2**-50 (|s(next)| + |best| + gap + delta + F/weight) covers.  Once
-    s(next) + gap - F/weight + delta + slack < best, where s(next) is the
-    trial's highest SD part not yet scored, no unscored candidate reaches
-    the running best and the (spec, trial) pair stops.  The floor is
-    computed once, after the first block, for the trials that the bound
-    with F = 0 keeps.  At 4 dB and L = 64, F/sigma2 averages about 1 of the
-    log L = 4.16 nats of the marginalized gap.  At high SNR the marginalized delta grows and the
-    search scores more blocks; neither changes a pick.
+    r_l = -dRD_l/weight <= -F/weight + delta.  A score is s(c) + peak +
+    log(sum_l exp(r_l - peak)) over a candidate's L relay vectors, with
+    peak = max_l r_l; the mismatched detector has one, its noiseless relay
+    input (L = 1), and a score of exactly s(c) + r_1.  Each summand is at
+    most 1 and the peak's is exactly 1, so the rounded sum is at most L and
+    the log term about gap = log L, 0 at L = 1.  Every score is thus at
+    most s(c) + gap - F/weight + delta, up to the rounding of the final
+    additions, which slack = 2**-50 (|s(next)| + |best| + gap + delta +
+    F/weight) covers.  Once s(next) + gap - F/weight + delta + slack <
+    best, where s(next) is the trial's highest SD part not yet scored, no
+    unscored candidate reaches the running best and the (spec, trial) pair
+    stops.  The floor is computed once, after the first block, for the
+    trials that the bound with F = 0 keeps.  At 4 dB and L = 64, F/sigma2
+    averages about 1 of the log L = 4.16 nats of the marginalized gap.  At
+    high SNR the marginalized delta grows and the search scores more
+    blocks; neither changes a pick.
     """
-    if noise is None:
-        score, width, samples, weight = _score_mismatched, MISMATCHED_BLOCK, 1, 1.0
-    else:
-        score, width, samples, weight = (_score_marginalized, MARGINAL_BLOCK,
-                                         noise.shape[1], sigma2)
-    gap = math.log(samples)  # 0.0 for the mismatched detector's one "sample"
-    sd_part, relay_in = _candidate_terms(y_sd, h_sd, h_sr, codewords, weight)
+    width, weight = (MISMATCHED_BLOCK, 1.0) if noise is None else (MARGINAL_BLOCK, sigma2)
+    gap = math.log(1 if noise is None else noise.shape[1])
+    sd_part, relay_in = _candidate_products(y_sd, h_sd, h_sr, codewords, weight)
     y_rd_all = np.stack(y_rds)  # (len(specs), B, N_D)
     # (len(specs), B): ||H_rd||_F + ||y_rd|| per spec and trial
     norms = np.linalg.norm(h_rd, axis=(1, 2)) + np.linalg.norm(y_rd_all, axis=-1)
@@ -297,14 +277,14 @@ def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
         # the gathers copy exact values, so a block scores bit for bit as
         # the full row does at its candidates
         gather = active[:, None], cols
-        terms = _terms(sd_part[gather], relay_in[gather],
-                       None if noise is None else noise[active])
+        block_sd = sd_part[gather]
+        basis = _basis(relay_in[gather], None if noise is None else noise[active])
         h_rd_active = h_rd[active]
         for row, (spec, y_rd) in enumerate(zip(specs, y_rds)):
             live = pending[row, active]
             if not live.any():
                 continue
-            scores = score(terms, spec, h_rd_active, y_rd[active], sigma2)
+            scores = _score(block_sd, basis, spec, h_rd_active, y_rd[active], weight)
             top = scores.max(axis=1)
             index = np.where(scores == top[:, None], cols, n_cand).min(axis=1)
             was = best[row, active]
@@ -328,6 +308,13 @@ def block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codewords, specs, sigma2, noise):
 DETECTORS = ("mismatched", "marginalized")
 
 
+def _reference_scores(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec, weight, noise):
+    """(C,) scores of one trial: :func:`_score` on a batch of one."""
+    sd_part, relay_in = _candidate_products(y_sd[None], h_sd[None], h_sr[None], codewords, weight)
+    basis = _basis(relay_in, None if noise is None else noise[None])
+    return _score(sd_part, basis, spec, h_rd[None], y_rd[None], weight)[0]
+
+
 def mismatched_metrics(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec):
     """Reference per-candidate metric of the mismatched detector.
 
@@ -336,8 +323,7 @@ def mismatched_metrics(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec):
     is better.  It is the exact negation of the mismatched score, taken as
     0.0 - score so that a zero reads +0.0, as dSD + dRD rounds it.
     """
-    terms = _terms(*_candidate_terms(y_sd[None], h_sd[None], h_sr[None], codewords, 1.0), None)
-    return 0.0 - _score_mismatched(terms, spec, h_rd[None], y_rd[None], None)[0]
+    return 0.0 - _reference_scores(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec, 1.0, None)
 
 
 def marginalized_scores(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec, sigma2, noise):
@@ -347,9 +333,7 @@ def marginalized_scores(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec, sigma2, n
     score of each candidate is -dSD/sigma2 plus a stable log-sum-exp of
     -dRD/sigma2 over the samples; higher is better.
     """
-    terms = _terms(*_candidate_terms(y_sd[None], h_sd[None], h_sr[None], codewords, sigma2),
-                   noise[None])
-    return _score_marginalized(terms, spec, h_rd[None], y_rd[None], sigma2)[0]
+    return _reference_scores(y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec, sigma2, noise)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ engine's reference detectors: the argmin of
 :func:`~qfrelay.engine.mismatched_metrics`, or the argmax of
 :func:`~qfrelay.engine.marginalized_scores` over L relay-noise samples it
 draws from the trial's stream.  Both score with a batch of one through the
-engine's scoring function for the detector, so the batched engine
-reproduces its outcomes bit for bit; ties resolve to the smallest message
-index.
+engine's one scorer, so the batched engine reproduces its outcomes bit for
+bit; ties resolve to the smallest message index.
 """
 
 from __future__ import annotations

@@ -329,7 +329,7 @@ class LevelSet:
             raise ValueError(f"level set violates the power identity: {power!r}")
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=1024, typed=True)
 def build_level_set(n_antennas, group_size, level_exponent=2):
     """Construct the H-APQ level set a_k = k**(n/2) * spacing.
 
@@ -448,7 +448,7 @@ class CandidateBasis:
     ``relay_symbols`` or ``relay_state``, or are products of finite draws.
 
     ``held`` keeps the last spec's candidate stack alive until the next
-    spec's replaces it.  Freed when its scoring function returns, the whole
+    spec's replaces it.  Freed when the scorer returns, the whole
     per-spec working set would sit free at the top of the heap, malloc would
     hand it back to the OS, and every spec would page-fault it in again.
     """
@@ -608,6 +608,8 @@ def candidate_relay_symbols(spec, basis):
 def _checked_received(received, spec):
     """The entry check: a complex array that fits ``spec``, every entry finite."""
     y = np.asarray(received, dtype=complex)
+    if y.ndim == 0:
+        raise ValueError(f"received vector needs an antenna axis, got {received!r}")
     spec.validate_for(y.shape[-1])
     if not np.isfinite(y).all():
         raise ValueError("received vector must be finite")

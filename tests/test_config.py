@@ -294,9 +294,10 @@ def test_trial_draws_are_capped(tmp_path):
         _refused(_write(tmp_path, square(n)), re.escape(message))
 
 
-@pytest.mark.parametrize("snr_db", ["3", None, 1j])
+@pytest.mark.parametrize("snr_db", ["3", None, 1j, True])
 def test_snr_must_be_a_real_number(snr_db):
-    # each used to raise a TypeError from the range comparison
+    # each used to raise a TypeError from the range comparison, but True,
+    # which ran as a 1 dB point
     spec = QuantizerSpec(AF)
     message = f"snr_db must be a real number, got {snr_db!r}"
     with pytest.raises(ConfigValidationError, match=message):

@@ -163,13 +163,6 @@ def test_engine_counts_equal_reference_trials(detector, samples, snr_db):
         assert int(batched[0]) == reference, (spec.label(), detector, snr_db)
 
 
-def _scorer(detector, sigma2):
-    """A detector's batched scorer and the weight of its SD part -dSD/weight."""
-    if detector == "mismatched":
-        return engine._score_mismatched, 1.0
-    return engine._score_marginalized, sigma2
-
-
 @pytest.mark.parametrize("detector", ["mismatched", "marginalized"])
 def test_batched_scores_equal_reference_scores_bitwise(detector):
     # every score, not only the decision it leads to, must match the
@@ -180,12 +173,12 @@ def test_batched_scores_equal_reference_scores_bitwise(detector):
     sent, h_sr, h_sd, h_rd, y_sr, y_sd, z_rd, noise = engine._draw_batch(
         2, 4, 3, codebook, sigma2, 77, 1, range(13), samples
     )
-    score, weight = _scorer(detector, sigma2)
-    candidates = engine._candidate_terms(y_sd, h_sd, h_sr, codebook.codewords, weight)
-    terms = engine._terms(*candidates, noise)
+    weight = 1.0 if detector == "mismatched" else sigma2
+    sd_part, relay_in = engine._candidate_products(y_sd, h_sd, h_sr, codebook.codewords, weight)
+    basis = engine._basis(relay_in, noise)
     for spec in SPECS:
         y_rd = _matvec(h_rd, relay_symbols(y_sr, spec)) + z_rd
-        batched = score(terms, spec, h_rd, y_rd, sigma2)
+        batched = engine._score(sd_part, basis, spec, h_rd, y_rd, weight)
         for row in range(len(sent)):
             args = (y_sd[row], y_rd[row], h_sd[row], h_sr[row], h_rd[row],
                     codebook.codewords, spec)
@@ -195,6 +188,33 @@ def test_batched_scores_equal_reference_scores_bitwise(detector):
             else:
                 alone = engine.marginalized_scores(*args, sigma2, noise[row])
             assert np.array_equal(batched[row], alone), (spec.label(), row)
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 4), (2, 3, 5), (3, 6, 2)], ids=str)
+def test_mismatched_metric_is_the_negated_score_at_one_noiseless_sample(shape):
+    # the identity the one scorer rests on: the mismatched detector is the
+    # marginalized one over a single zero relay-noise sample at weight 1,
+    # since a log-sum-exp of one term is that term and dividing by -1.0 is
+    # exact.  Links and observations span magnitudes from 1e-3 to 1e3
+    n_source, n_relay, n_dest = shape
+    codewords = build_codebook(4, n_source).codewords
+    rng = np.random.default_rng(22)
+    # H-APQ at qbar = 11, m = 1 lies above the gain-phasor table bound
+    specs = (QuantizerSpec(AF), QuantizerSpec(UPQ, total_bits=8),
+             QuantizerSpec(UAPQ, total_bits=8, phase_bits=4),
+             QuantizerSpec(HAPQ, phase_bits=4, group_size=2),
+             QuantizerSpec(HAPQ, phase_bits=11, group_size=1))
+    zero = np.zeros((1, n_relay))
+    for trial in range(12):
+        h_scale, y_scale = (1e-3, 1.0, 1e3)[trial % 3], (1e-3, 1.0, 1e3)[trial // 3 % 3]
+        h_sd, h_sr, h_rd = (h_scale * _complex_normal(rng, rows, cols) for rows, cols in (
+            (n_dest, n_source), (n_relay, n_source), (n_dest, n_relay)))
+        y_sd, y_rd = (y_scale * _complex_normal(rng, n_dest) for _ in range(2))
+        for spec in specs:
+            args = (y_sd, y_rd, h_sd, h_sr, h_rd, codewords, spec)
+            metrics = engine.mismatched_metrics(*args)
+            scores = engine.marginalized_scores(*args, 1.0, zero)
+            assert np.array_equal(-metrics, scores), (shape, trial, spec.label())
 
 
 def test_engine_counts_do_not_depend_on_batch_size():
@@ -413,7 +433,7 @@ def test_mismatched_search_picks_the_argmin_of_the_full_metrics(n_source):
 
 
 def _assert_search_finds_adversarial_winners(detector, scores, monkeypatch):
-    """The search maximizes the score each detector's scorer returns.  A
+    """The search maximizes the score the one scorer returns.  A
     score is at most its SD part plus a gap, log L or 0, less the trial's
     RD floor over its weight, and the search relies on no more than that.
     Synthetic scores below that bound make the search find: the candidate
@@ -428,21 +448,19 @@ def _assert_search_finds_adversarial_winners(detector, scores, monkeypatch):
     samples, snr_db = (64, -30.0) if detector == "marginalized" else (0, 10.0)
     codebook, sigma2, arrays, y_rds = _search_draws(4, samples, snr_db, 14)
     y_sd, h_sd, h_sr, h_rd, noise = arrays
-    scorer, weight = _scorer(detector, sigma2)
     if detector == "mismatched":
-        gap, width = 0.0, engine.MISMATCHED_BLOCK
+        gap, width, weight = 0.0, engine.MISMATCHED_BLOCK, 1.0
     else:
-        gap, width = math.log(64), engine.MARGINAL_BLOCK
+        gap, width, weight = math.log(64), engine.MARGINAL_BLOCK, sigma2
     # the SD part of the search's score
-    sd_part, _ = engine._candidate_terms(y_sd, h_sd, h_sr, codebook.codewords, weight)
+    sd_part, _ = engine._candidate_products(y_sd, h_sd, h_sr, codebook.codewords, weight)
     in_order = np.sort(sd_part, axis=-1)[:, ::-1]
     # each trial's RD row carries its SD parts to the synthetic scorer
     carrier = np.zeros_like(y_rds[0])
     carrier[:, 0] = in_order[:, 0] + 1j * in_order[:, -1]
     carrier[:, 1] = in_order[:, width]
 
-    def synthetic(terms, spec, h_rd, y_rd, sigma2):
-        part = terms[0]
+    def synthetic(part, basis, spec, h_rd, y_rd, weight):
         top, bottom, edge = y_rd[:, :1].real, y_rd[:, :1].imag, y_rd[:, 1:2].real
         # the part of the bound past the SD part: the gap less the floor
         # that every RD distance of the trial's relay vectors lies above
@@ -457,8 +475,8 @@ def _assert_search_finds_adversarial_winners(detector, scores, monkeypatch):
             score = np.broadcast_to(bottom + reach, part.shape)
         return score
 
-    monkeypatch.setattr(engine, scorer.__name__, synthetic)
-    want = synthetic((sd_part,), None, h_rd, carrier, None).argmax(axis=-1)
+    monkeypatch.setattr(engine, "_score", synthetic)
+    want = synthetic(sd_part, None, None, h_rd, carrier, weight).argmax(axis=-1)
     got = engine.block_picks(y_sd, [carrier] * len(SPECS), h_sd, h_sr, h_rd,
                              codebook.codewords, SPECS, sigma2, noise)
     assert np.array_equal(got, np.broadcast_to(want, got.shape))
@@ -484,20 +502,20 @@ def test_gathered_block_scores_equal_the_full_row_bitwise():
     for detector, samples in (("mismatched", 0), ("marginalized", 64)):
         codebook, sigma2, arrays, y_rds = _search_draws(4, samples, 6.0, 5, seed=9)
         y_sd, h_sd, h_sr, h_rd, noise = arrays
-        score, weight = _scorer(detector, sigma2)
-        sd_part, relay_in = engine._candidate_terms(
+        weight = 1.0 if detector == "mismatched" else sigma2
+        sd_part, relay_in = engine._candidate_products(
             y_sd, h_sd, h_sr, codebook.codewords, weight)
-        full_terms = engine._terms(sd_part, relay_in, noise)
+        full_basis = engine._basis(relay_in, noise)
         order = np.argsort(-sd_part, axis=-1, kind="stable")
         blocks = [cols[:, start:start + width] for width in (16, 64)
                   for cols in (order, shuffled) for start in range(0, 256, width)]
         for spec, y_rd in zip(SPECS, y_rds):
-            full = score(full_terms, spec, h_rd, y_rd, sigma2)
+            full = engine._score(sd_part, full_basis, spec, h_rd, y_rd, weight)
             for cols in blocks:
                 # block_picks's gather of the block's candidates
                 gather = np.arange(5)[:, None], cols
-                terms = engine._terms(sd_part[gather], relay_in[gather], noise)
-                block = score(terms, spec, h_rd, y_rd, sigma2)
+                basis = engine._basis(relay_in[gather], noise)
+                block = engine._score(sd_part[gather], basis, spec, h_rd, y_rd, weight)
                 want = np.take_along_axis(full, cols, axis=1)
                 assert block.tobytes() == want.tobytes(), (detector, spec.label())
 
@@ -531,7 +549,7 @@ def test_one_rd_product_per_trial_scores_bitwise_as_per_sample_products():
         h_rd = h_scale * _complex_normal(rng, batch, n_dest, n_relay)
         y_rd = y_scale * _complex_normal(rng, batch, n_dest)
         sd_part = -rng.random((batch, width))
-        got = engine._score_marginalized((sd_part, CandidateBasis(stack)), af, h_rd, y_rd, 0.5)
+        got = engine._score(sd_part, CandidateBasis(stack), af, h_rd, y_rd, 0.5)
         relay_cands = candidate_relay_symbols(af, CandidateBasis(stack))
         want = _per_sample_marginalized(sd_part, relay_cands, h_rd, y_rd, 0.5)
         assert got.tobytes() == want.tobytes(), (batch, samples, width, n_relay, n_dest)
@@ -602,16 +620,17 @@ def _scored_share(detector, samples, snr_db, monkeypatch):
     """Share of a 32-trial batch's candidates that one search over SPECS
     gathers, at C = 256."""
     scored = []
-    real = engine._terms
+    real = engine._basis
 
-    def counted(sd_part, relay_in, noise):
-        # block_picks builds each block's basis once, from its gathered SD parts
-        scored.append(sd_part.size)
-        return real(sd_part, relay_in, noise)
+    def counted(relay_in, noise):
+        # block_picks builds each block's basis once, from its gathered
+        # (trials, width, N_R) relay inputs
+        scored.append(relay_in.shape[0] * relay_in.shape[1])
+        return real(relay_in, noise)
 
     codebook, sigma2, arrays, y_rds = _search_draws(4, samples, snr_db, 32)
     y_sd, h_sd, h_sr, h_rd, noise = arrays
-    monkeypatch.setattr(engine, "_terms", counted)
+    monkeypatch.setattr(engine, "_basis", counted)
     engine.block_picks(y_sd, y_rds, h_sd, h_sr, h_rd, codebook.codewords,
                        SPECS, sigma2, noise)
     return sum(scored) / (32 * 256)
@@ -642,17 +661,17 @@ def _candidates_scored(detector, snr_db, batch_size, floored, monkeypatch):
     """Candidates the scorer scores, and the error counts, over three
     fixed-seed batches at a benchmark shape (4x4x4, M = 4, L = 64), with the
     RD floor in the stop bound or without it."""
-    scorer, _ = _scorer(detector, 1.0)
+    scorer = engine._score
     scored = [0]
 
-    def counted(terms, spec, h_rd, y_rd, sigma2):
-        scores = scorer(terms, spec, h_rd, y_rd, sigma2)
+    def counted(sd_part, basis, spec, h_rd, y_rd, weight):
+        scores = scorer(sd_part, basis, spec, h_rd, y_rd, weight)
         scored[0] += scores.size
         return scores
 
     specs = [parse_spec_string(text) for text in _BENCH_SPECS[detector]]
     with monkeypatch.context() as patch:
-        patch.setattr(engine, scorer.__name__, counted)
+        patch.setattr(engine, "_score", counted)
         if not floored:
             patch.setattr(engine, "_rd_floor", lambda h_rd, y_rd: np.zeros(y_rd.shape[:-1]))
         errors = [count_errors(4, 4, 4, 4, specs, snr_db, 0, seed, 0, batch_size,

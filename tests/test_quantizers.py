@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,6 +304,16 @@ def test_level_set_rejects_bad_group():
             build_level_set(4, bad)
 
 
+def test_level_set_cache_is_bounded():
+    # keyed by user-chosen (n, m, family_n), it used to grow without bound
+    build_level_set.cache_clear()
+    keys = [(n, m) for n in range(1, 48) for m in range(1, n + 1)]
+    assert len(keys) > 1024
+    for n, m in keys:
+        build_level_set(n, m)
+    assert build_level_set.cache_info().currsize <= 1024
+
+
 def _closed_form_level_set(n_antennas, group_size, exponent):
     """Levels and spacing from K = ceil(n/m), m antennas per lower level."""
     num_levels = -(-n_antennas // group_size)
@@ -516,6 +527,16 @@ _NON_FINITE = {
     "nan+0j": complex(np.nan, 0),
     "0+infj": complex(0, np.inf),
 }
+
+
+@pytest.mark.parametrize("spec", [QuantizerSpec(AF), spec_upq(), spec_uapq(), spec_hapq()],
+                         ids=lambda spec: spec.kind)
+def test_relay_symbols_rejects_a_received_vector_without_an_antenna_axis(spec):
+    # each used to raise IndexError: tuple index out of range
+    for received in (1 + 1j, None):
+        with pytest.raises(ValueError, match=f"^received vector needs an antenna axis, "
+                                             f"got {re.escape(repr(received))}$"):
+            relay_symbols(received, spec)
 
 
 @pytest.mark.parametrize("bad", _NON_FINITE.values(), ids=list(_NON_FINITE))
