@@ -38,7 +38,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -70,11 +70,11 @@ KIND_PARAMS = {
     AF: (),
 }
 _LABEL_KEYS = {**PARAM_KEYS, "level_exponent": "n"}
-# largest q and qbar a spec takes.  A b-bit budget builds 2**b-entry phasor
-# and bin-center tables, so the largest is 2**16 complex entries, 1 MiB, and
-# the int64 sector indices of phase_index cannot overflow
+# largest q and qbar a spec takes, and the largest budget a public kernel
+# takes (check_bits).  A b-bit budget builds 2**b-entry phasor and
+# bin-center tables, so the largest is 2**16 complex entries, 1 MiB, and the
+# int64 sector indices of phase_index cannot overflow
 MAX_BITS = 16
-_BIT_BUDGETS = ("total_bits", "phase_bits")
 
 
 def check_count(name, value, kinds=int):
@@ -98,6 +98,33 @@ def check_key(name, value):
     """
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
         raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+
+
+def check_bits(name, value):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a bit budget:
+    a positive int at most ``MAX_BITS``.
+
+    The one bit-budget rule: ``QuantizerSpec`` reads it for q and qbar, and
+    the public kernels, which shift by a budget and build 2**bits tables,
+    for theirs.
+    """
+    check_count(name, value)
+    if value > MAX_BITS:
+        raise ValueError(f"{name} must be at most {MAX_BITS}, got {value}")
+
+
+def check_level_exponent(name, value):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a level-family
+    exponent, an int in 1..4; ``QuantizerSpec`` and ``build_level_set`` read it.
+    """
+    check_count(name, value)
+    if value > 4:
+        raise ValueError(f"{name} must be in 1..4, got {value}")
+
+
+# the bounded spec parameters and their rules; the others are positive counts
+_PARAM_BOUNDS = {"total_bits": check_bits, "phase_bits": check_bits,
+                 "level_exponent": check_level_exponent}
 
 
 @dataclass(frozen=True)
@@ -126,16 +153,11 @@ class QuantizerSpec:
             object.__setattr__(self, "level_exponent", 2)
         params = KIND_PARAMS[self.kind]
         for attr in params:
-            value = getattr(self, attr)
-            check_count(PARAM_KEYS[attr], value)
-            if attr in _BIT_BUDGETS and value > MAX_BITS:
-                raise ValueError(f"{PARAM_KEYS[attr]} must be at most {MAX_BITS}, got {value}")
+            _PARAM_BOUNDS.get(attr, check_count)(PARAM_KEYS[attr], getattr(self, attr))
         if self.kind == UAPQ and self.phase_bits >= self.total_bits:
             raise ValueError(
                 f"U-APQ needs qbar < q, got qbar={self.phase_bits} q={self.total_bits}"
             )
-        if self.kind == HAPQ and self.level_exponent > 4:
-            raise ValueError(f"family_n must be in 1..4, got {self.level_exponent}")
         for attr in PARAM_KEYS:
             if attr not in params and getattr(self, attr) is not None:
                 raise ValueError(f"{self.kind} does not take {attr}")
@@ -197,7 +219,7 @@ def phase_index(theta, bits):
     boundary belongs to the lower sector, and the result is in
     {0, ..., 2**bits - 1}: an ``int`` for a scalar, an int64 array otherwise.
     """
-    check_count("phase bits", bits)
+    check_bits("phase bits", bits)
     wrapped = wrap_phase(np.atleast_1d(np.asarray(theta, dtype=float)))
     sectors = 1 << bits
     # ceil(theta * 2**bits / (2*pi) - 0.5) in the fresh array wrap_phase
@@ -221,6 +243,8 @@ def sector_angle(index, bits):
 
 @lru_cache(maxsize=None)
 def _phasor_table(bits):
+    # checked on a miss only; a hit is a budget that passed
+    check_bits("phase bits", bits)
     table = np.exp(1j * sector_angle(np.arange(1 << bits), bits))
     table.flags.writeable = False
     return table
@@ -246,7 +270,7 @@ def amplitude_bin(values, bits):
 
     A value of exactly 1.0 is clamped into the top bin.
     """
-    check_count("amplitude bits", bits)
+    check_bits("amplitude bits", bits)
     v = np.asarray(values, dtype=float)
     # min and max carry a NaN through, so the comparison rejects it
     if v.size and not (v.min() > 0.0 and v.max() <= 1.0):
@@ -336,7 +360,7 @@ def build_level_set(n_antennas, group_size, level_exponent=2):
     The spacing is fixed by unit transmit power: the sum of a_k**2 over the
     O-AQ level multiset, one term per antenna, is 1.
     """
-    check_count("family_n", level_exponent)
+    check_level_exponent("family_n", level_exponent)
     pool = oaq_level_multiset(n_antennas, group_size)
     spacing = 1.0 / math.sqrt(sum(level**level_exponent for level in pool))
     levels = spacing * np.arange(1, pool[-1] + 1, dtype=float) ** (0.5 * level_exponent)
@@ -439,13 +463,16 @@ class CandidateBasis:
     ``values`` holds complex relay inputs, antennas on the last axis: a
     single received vector, a relay batch of them, or the engine's
     candidate stacks.  It is what the quantize half of every method reads.
-    The angles, amplitudes, phase indices, amplitude sort ranks, vector
-    norms and H-APQ table offsets are shared by every quantizer evaluated
-    on the same inputs, so each is computed once per basis, on first use:
-    a kind computes only what it reads.  The phase indices and the offsets
-    are stored codes themselves, which the rebuild half turns into
-    symbols.  The inputs are finite: they passed the entry check of
-    ``relay_symbols`` or ``relay_state``, or are products of finite draws.
+    The angles, amplitudes, amplitude sort ranks and vector norms are
+    shared by every quantizer evaluated on the same inputs, so each is
+    computed once per basis, on first use: a kind computes only what it
+    reads.  The phase indices of a bit budget and the H-APQ table offsets
+    of a grouping are stored codes themselves, which the rebuild half turns
+    into symbols; the basis holds one array of each, for the last budget
+    and grouping asked for, so its memory does not grow with the number of
+    methods sharing it.  The inputs are finite: they passed the entry check
+    of ``relay_symbols`` or ``relay_state``, or are products of finite
+    draws.
 
     ``held`` keeps the last spec's candidate stack alive until the next
     spec's replaces it.  Freed when the scorer returns, the whole
@@ -453,38 +480,24 @@ class CandidateBasis:
     hand it back to the OS, and every spec would page-fault it in again.
     """
 
-    __slots__ = ("values", "_theta", "_amps", "_phase", "_ranks", "_norms", "_flat", "held")
-
     def __init__(self, values):
         self.values = values
-        self._theta = None
-        self._amps = None
-        self._phase = {}
-        self._ranks = None
-        self._norms = None
-        self._flat = {}
+        self._phase = self._offsets = None, None
         self.held = None
 
+    @cached_property
     def theta(self):
-        if self._theta is None:
-            self._theta = np.angle(self.values)
-        return self._theta
+        return np.angle(self.values)
 
-    def phase_indices(self, bits):
-        if bits not in self._phase:
-            self._phase[bits] = phase_index(self.theta(), bits)
-        return self._phase[bits]
-
+    @cached_property
     def amps(self):
-        if self._amps is None:
-            self._amps = np.abs(self.values)
-        return self._amps
+        return np.abs(self.values)
 
+    @cached_property
     def ranks(self):
-        if self._ranks is None:
-            self._ranks = oaq_sort_ranks(self.amps())
-        return self._ranks
+        return oaq_sort_ranks(self.amps)
 
+    @cached_property
     def norms(self):
         """Vector norms of the amplitudes; U-APQ and AF cannot scale a zero one.
 
@@ -496,25 +509,28 @@ class CandidateBasis:
         smallest normal float, is rejected, as a zero one is: AF's complex
         division multiplies by 1/norm, which must be a normal float too.
         """
-        if self._norms is None:
-            amps = self.amps()
-            norms = _vector_norm(amps)
-            lossy = ~(norms > _SQRT_TINY) | np.isinf(norms)
-            if lossy.any():
-                norms = np.array(norms)  # a single vector's norm is a scalar
-                scaled = amps[lossy]
-                _, exponent = np.frexp(scaled.max(axis=-1))
-                scaled = np.ldexp(scaled, -exponent[..., None])
-                with np.errstate(over="ignore"):
-                    norms[lossy] = np.ldexp(_vector_norm(scaled), exponent)
-                if np.any(norms == 0.0):
-                    raise ValueError("received vector has zero norm")
-                if not np.all((norms >= _TINY) & (norms <= 1.0 / _TINY)):
-                    raise ValueError(
-                        f"received vector norm lies outside [{_TINY:.3g}, {1.0 / _TINY:.3g}]"
-                    )
-            self._norms = norms
-        return self._norms
+        amps = self.amps
+        norms = _vector_norm(amps)
+        lossy = ~(norms > _SQRT_TINY) | np.isinf(norms)
+        if lossy.any():
+            norms = np.array(norms)  # a single vector's norm is a scalar
+            scaled = amps[lossy]
+            _, exponent = np.frexp(scaled.max(axis=-1))
+            scaled = np.ldexp(scaled, -exponent[..., None])
+            with np.errstate(over="ignore"):
+                norms[lossy] = np.ldexp(_vector_norm(scaled), exponent)
+            if np.any(norms == 0.0):
+                raise ValueError("received vector has zero norm")
+            if not np.all((norms >= _TINY) & (norms <= 1.0 / _TINY)):
+                raise ValueError(
+                    f"received vector norm lies outside [{_TINY:.3g}, {1.0 / _TINY:.3g}]"
+                )
+        return norms
+
+    def phase_indices(self, bits):
+        if self._phase[0] != bits:
+            self._phase = bits, phase_index(self.theta, bits)
+        return self._phase[1]
 
     def level_phase_offsets(self, group_size, phase_bits):
         """Flat offset of entry [level - 1, phase index] in the H-APQ table.
@@ -523,13 +539,13 @@ class CandidateBasis:
         rank // group_size.  The level exponent only changes its entries, so
         specs differing in it share the offsets.
         """
-        key = (group_size, phase_bits)
-        if key not in self._flat:
-            flat = self.ranks() // group_size
+        key = group_size, phase_bits
+        if self._offsets[0] != key:
+            flat = self.ranks // group_size
             flat *= 1 << phase_bits
             flat += self.phase_indices(phase_bits)
-            self._flat[key] = flat
-        return self._flat[key]
+            self._offsets = key, flat
+        return self._offsets[1]
 
 
 # largest (levels, 2**qbar) H-APQ gain-phasor table that is built and
@@ -565,7 +581,7 @@ def _quantize(spec, basis):
         # push the largest ratio a hair above 1.  The bins replace the ratios
         # before the phase indices are computed, which frees the float array
         # first: holding it cost the marginalized engine about 5%
-        bins = basis.amps() / basis.norms()[..., None]
+        bins = basis.amps / basis.norms[..., None]
         bins = amplitude_bin(np.minimum(bins, 1.0, out=bins), spec.amplitude_bits)
         return basis.phase_indices(spec.phase_bits), bins
     return basis.level_phase_offsets(spec.group_size, spec.phase_bits)
@@ -597,7 +613,7 @@ def candidate_relay_symbols(spec, basis):
     AF stores nothing; it scales its input to unit power.
     """
     if spec.kind == AF:
-        return basis.values / basis.norms()[..., None]
+        return basis.values / basis.norms[..., None]
     return _rebuild(spec, _quantize(spec, basis), basis.values.shape[-1])
 
 
@@ -657,7 +673,10 @@ class RelayState:
     states carry ``amplitude_assignment`` (1-based level index per
     antenna), U-APQ states carry ``amplitude_bins`` (uniform bin index per
     antenna), and U-PQ states carry neither.  Every entry is an integer: a
-    float, even 1.0, is a ``TypeError``.
+    float, even 1.0, is a ``TypeError``.  Each field is kept as a tuple of
+    the entries it is given, so a state built from a list, bytes or an
+    array equals, and hashes as, the one built from the tuple, and a later
+    change to the caller's sequence does not reach it.
     """
 
     spec: QuantizerSpec
@@ -690,6 +709,9 @@ class RelayState:
             if len(self.amplitude_assignment) != n:
                 raise ValueError("need one level index per antenna")
             check_oaq_assignment(self.amplitude_assignment, n, spec.group_size)
+        for name in ("phase_indices", "amplitude_assignment", "amplitude_bins"):
+            if type(getattr(self, name)) is not tuple:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def n_antennas(self):
@@ -704,13 +726,13 @@ def relay_state(received, spec):
         raise ValueError("relay_state expects a single received vector")
     codes = _quantize(spec, CandidateBasis(_checked_received(received, spec)))
     if spec.kind == UPQ:
-        return RelayState(spec, tuple(codes.tolist()))
+        return RelayState(spec, codes.tolist())
     if spec.kind == UAPQ:
         indices, bins = codes
-        return RelayState(spec, tuple(indices.tolist()), amplitude_bins=tuple(bins.tolist()))
+        return RelayState(spec, indices.tolist(), amplitude_bins=bins.tolist())
     bits = spec.phase_bits
-    return RelayState(spec, tuple((codes & ((1 << bits) - 1)).tolist()),
-                      amplitude_assignment=tuple(((codes >> bits) + 1).tolist()))
+    return RelayState(spec, (codes & ((1 << bits) - 1)).tolist(),
+                      amplitude_assignment=((codes >> bits) + 1).tolist())
 
 
 def relay_symbols_from_state(state):

@@ -232,19 +232,38 @@ def test_payload_value_is_checked():
     assert decode_relay_state(widest) == RelayState(spec=spec, phase_indices=(255, 255))
 
 
-def test_encode_rechecks_an_assignment_changed_after_construction():
-    # RelayState keeps the sequence it is given, so a list it validated can
-    # change before encode; encode's own check is then the only guard.
-    # Without it this state would encode as rank 0 and decode to (1, 1, 2, 2)
+def test_state_keeps_its_assignment_after_the_callers_list_changes():
+    # RelayState keeps a tuple of the entries it checked, so a later change
+    # to the caller's list reaches neither the state nor its encoding
     levels = [1, 2, 1, 2]
     spec = QuantizerSpec(HAPQ, phase_bits=2, group_size=2)
     state = RelayState(spec=spec, phase_indices=(0, 1, 2, 3), amplitude_assignment=levels)
-    restored = decode_relay_state(encode_relay_state(state))
-    assert tuple(restored.amplitude_assignment) == (1, 2, 1, 2)
+    encoded = encode_relay_state(state)
     levels[:] = [1, 1, 1, 1]
+    assert state.amplitude_assignment == (1, 2, 1, 2)
+    assert encode_relay_state(state) == encoded
+    assert decode_relay_state(encoded) == state
+    # rank_assignment keeps its own check of what it is given
     message = r"level multiplicities \[4, 0\] violate the O-AQ grouping \[2, 2\]"
     with pytest.raises(ValueError, match=message):
-        encode_relay_state(state)
+        rank_assignment([1, 1, 1, 1], 4, 2)
+
+
+@pytest.mark.parametrize("convert", [list, bytes, np.array], ids=["list", "bytes", "ndarray"])
+@pytest.mark.parametrize("spec, fields", [
+    (QuantizerSpec(UPQ, total_bits=3), {"phase_indices": (0, 7, 2, 5)}),
+    (QuantizerSpec(UAPQ, total_bits=8, phase_bits=4),
+     {"phase_indices": (0, 15, 2, 5), "amplitude_bins": (1, 0, 15, 3)}),
+    (QuantizerSpec(HAPQ, phase_bits=2, group_size=2),
+     {"phase_indices": (0, 1, 2, 3), "amplitude_assignment": (2, 1, 1, 2)}),
+], ids=["UPQ", "UAPQ", "HAPQ"])
+def test_state_fields_of_any_sequence_equal_the_tuple_state(convert, spec, fields):
+    reference = RelayState(spec, **fields)
+    state = RelayState(spec, **{name: convert(entries) for name, entries in fields.items()})
+    assert state == reference
+    assert hash(state) == hash(reference)
+    assert all(type(getattr(state, name)) is tuple for name in fields)
+    assert decode_relay_state(encode_relay_state(state)) == state
 
 
 def test_hapq_of_full_group_has_no_rank_bits():

@@ -55,10 +55,12 @@ def _relay_batch():
 
 def test_candidate_symbols_match_public_quantizers():
     # one basis memoized across every spec, as the engine reuses it, must give
-    # the same bytes as a fresh basis per spec, ties and boundary bins included
+    # the same bytes as a fresh basis per spec, ties and boundary bins
+    # included; the way back revisits bit budgets and groupings after the
+    # basis's one phase-index and one offset slot moved on to others
     y = _relay_batch()
     basis = CandidateBasis(y)
-    for spec in SPECS:
+    for spec in SPECS + SPECS[::-1]:
         fast = candidate_relay_symbols(spec, basis)
         assert np.array_equal(fast, relay_symbols(y, spec)), spec.label()
 
@@ -730,22 +732,24 @@ def test_default_batch_fits_the_candidate_stack_budget():
 ])
 def test_default_batch_peaks_within_its_trial_bytes(n_source, n_relay, n_dest, alphabet,
                                                     detector, samples):
-    # one default batch of each method peaks within 8 times the bytes it
-    # was sized by: the temporaries around the largest array family take a
-    # few times its bytes, whether that family is the draws (512 x 512), the
-    # products (C = 4096) or the block stack (L >= 64).  Methods sharing a
-    # batch also share its candidate basis, which keeps each one's memoized
-    # pieces, so a batch of several methods can peak higher (see ROADMAP)
+    # one default batch of each method, and of two whole mixes, peaks
+    # within 8 times the bytes it was sized by: the temporaries around the
+    # largest array family take a few times its bytes, whether that family
+    # is the draws (512 x 512), the products (C = 4096) or the block stack
+    # (L >= 64).  Methods sharing a batch share its candidate basis, which
+    # holds one array per shared piece, the last spec's, so a mix with many
+    # bit budgets (U-PQ q = 1..16) or groupings peaks as one method does
     marginal = samples if detector == "marginalized" else 0
     size, _ = engine.trial_bytes(alphabet**n_source, n_source, n_relay, n_dest, marginal)
     batch = engine._batch_size(alphabet**n_source, n_source, n_relay, n_dest, marginal)
     build_codebook(alphabet, n_source)  # cached across calls, so not a batch's memory
-    for spec in SPECS:
+    upq_mix = tuple(QuantizerSpec(UPQ, total_bits=q) for q in range(1, 17))
+    for specs in [(spec,) for spec in SPECS] + [SPECS, upq_mix]:
         tracemalloc.start()
         try:
-            count_errors(n_source, n_relay, n_dest, alphabet, (spec,), 4.0, 0, 0, 0, batch,
+            count_errors(n_source, n_relay, n_dest, alphabet, specs, 4.0, 0, 0, 0, batch,
                          detector=detector, marginal_samples=samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * batch * size, spec
+        assert peak <= 8 * batch * size, specs

@@ -16,6 +16,7 @@ from qfrelay.quantizers import (
     UAPQ,
     UPQ,
     QuantizerSpec,
+    _phasor_table,
     amplitude_bin,
     build_level_set,
     check_oaq_assignment,
@@ -28,6 +29,7 @@ from qfrelay.quantizers import (
     relay_state,
     relay_symbols,
     relay_symbols_from_state,
+    sector_phasor,
     uniform_amplitude_quantize,
     uniform_phase_quantize,
     wrap_phase,
@@ -569,6 +571,28 @@ def test_wrapper_bit_budgets_take_the_spec_bounds():
     assert relay_symbols(y, spec_uapq(16, 15)).shape == (2,)
 
 
+@pytest.mark.parametrize("bits", [17, 64])
+def test_public_kernels_take_the_spec_bit_bound(bits):
+    # a 2**bits table, or an int64 sector index past 2**63, is refused, and
+    # no phasor table is built
+    tables = _phasor_table.cache_info().currsize
+    for kernel, arg, name in ((phase_index, 0.3, "phase"), (uniform_phase_quantize, 0.3, "phase"),
+                              (sector_phasor, 0, "phase"), (amplitude_bin, 0.3, "amplitude"),
+                              (uniform_amplitude_quantize, 0.3, "amplitude")):
+        with pytest.raises(ValueError, match=f"^{name} bits must be at most 16, got {bits}$"):
+            kernel(arg, bits)
+    assert _phasor_table.cache_info().currsize == tables
+
+
+@pytest.mark.parametrize("exponent", [5, 2000])
+def test_level_sets_take_the_spec_family_bound(exponent):
+    message = f"^family_n must be in 1..4, got {exponent}$"
+    with pytest.raises(ValueError, match=message):
+        build_level_set(4, 2, exponent)
+    with pytest.raises(ValueError, match=message):
+        spec_hapq(m=2, n=exponent)
+
+
 def test_uapq_rejects_a_zero_amplitude():
     # a zero entry normalizes to 0, outside the (0, 1] the bins cover
     y = np.array([1 + 0j, 0j])
@@ -660,11 +684,11 @@ def test_norm_rescaling_keeps_normal_rows_and_scales_exactly():
 
     rng = np.random.default_rng(13)
     y = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    plain = CandidateBasis(y).norms()
+    plain = CandidateBasis(y).norms
     mixed = y.copy()
     mixed[1] *= 2.0**600  # squares overflow
     mixed[4] *= 2.0**-600  # squares underflow
-    norms = CandidateBasis(mixed).norms()
+    norms = CandidateBasis(mixed).norms
     assert np.array_equal(norms[[0, 2, 3, 5]], plain[[0, 2, 3, 5]])
     assert norms[1] == np.ldexp(plain[1], 600)
     assert norms[4] == np.ldexp(plain[4], -600)
